@@ -103,11 +103,11 @@ struct AsqpConfig {
   std::string index_columns;
 
   // ---- Serving (serve::ServeEngine).
-  /// Concurrent Answer() calls admitted into execution at once; further
-  /// sessions queue FIFO behind them (see serve_queue_capacity). Bounds
-  /// how many queries share the process-wide execution pool.
+  /// Queries executing at once; further queries queue in arrival order
+  /// behind them (see serve_queue_capacity). Bounds how many queries
+  /// share the process-wide execution pool.
   size_t serve_max_inflight = 4;
-  /// Sessions allowed to queue for admission once serve_max_inflight
+  /// Queries allowed to queue for admission once serve_max_inflight
   /// queries are executing; arrivals beyond this are rejected immediately
   /// with kResourceExhausted (back-pressure, not unbounded queueing).
   size_t serve_queue_capacity = 16;
@@ -152,19 +152,13 @@ struct AsqpConfig {
   /// Gather window for batched multi-query execution (milliseconds): an
   /// admitted query waits up to this long for peers touching the same
   /// table set before its batch executes as one shared scan pass per
-  /// table. 0 disables batching (every query executes individually, the
-  /// pre-batching behavior). Results are byte-identical either way.
+  /// table. 0 forms a batch per query the moment it is admitted (a
+  /// synchronous query then runs on its caller's thread when a slot is
+  /// free). Results are byte-identical either way.
   double serve_batch_window_ms = 0.0;
   /// Upper bound on queries grouped into one batch; a group that fills up
   /// executes immediately without waiting out the gather window.
   size_t serve_batch_max_queries = 8;
-  /// Run the serving layer's sessions through the async completion path
-  /// (ServeEngine::AnswerAsync): tickets queue to the batch scheduler and
-  /// callers wait on an AnswerFuture instead of pinning a thread through
-  /// admission + execution. Requires serve_batch_window_ms handling via
-  /// the scheduler; with batching disabled the future resolves on the
-  /// caller's thread (synchronous semantics, async interface).
-  bool serve_async = false;
 
   uint64_t seed = 1;
 

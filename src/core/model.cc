@@ -234,29 +234,29 @@ util::Result<AnswerResult> AsqpModel::Answer(const sql::SelectStatement& stmt) {
 
 util::Result<AnswerResult> AsqpModel::Answer(const sql::SelectStatement& stmt,
                                              const util::ExecContext& context) {
-  ASQP_ASSIGN_OR_RETURN(PreparedQuery prepared, PrepareQuery(stmt));
-  return AnswerPrepared(prepared, context);
+  const double answerability = PrepareQuery(stmt);
+  ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *db_));
+  return AnswerPrepared(bound, answerability, context);
 }
 
-util::Result<AsqpModel::PreparedQuery> AsqpModel::PrepareQuery(
-    const sql::SelectStatement& stmt) {
-  PreparedQuery prepared;
-  prepared.answerability = EstimateAnswerability(stmt);
+double AsqpModel::PrepareQuery(const sql::SelectStatement& stmt) {
+  const double answerability = EstimateAnswerability(stmt);
 
   // Drift bookkeeping (Section 4.4): confidently out-of-distribution
-  // queries accumulate until fine-tuning is triggered. Concurrent
-  // sessions record through one mutex; everything else on the answer
-  // path reads immutable inference state.
-  const sql::SelectStatement spj = stmt.HasAggregates()
-                                       ? metric::StripAggregates(stmt)
-                                       : stmt.Clone();
-  if (estimator_->DeviationConfidence(spj) > config_.drift_confidence) {
+  // queries accumulate until fine-tuning is triggered. The deviation
+  // confidence is the complement of the estimate just made on the same
+  // SPJ skeleton (AnswerabilityEstimator::DeviationConfidence), so the
+  // skeleton is copied only when it is recorded. Concurrent sessions
+  // record through one mutex; everything else on the answer path reads
+  // immutable inference state.
+  if (1.0 - answerability > config_.drift_confidence) {
+    sql::SelectStatement spj = stmt.HasAggregates()
+                                   ? metric::StripAggregates(stmt)
+                                   : stmt.Clone();
     std::lock_guard<std::mutex> lock(drift_mu_);
-    drifted_queries_.push_back(spj.Clone());
+    drifted_queries_.push_back(std::move(spj));
   }
-
-  ASQP_ASSIGN_OR_RETURN(prepared.bound, sql::Bind(stmt, *db_));
-  return prepared;
+  return answerability;
 }
 
 util::ExecContext AsqpModel::ApproxContextFor(
@@ -274,10 +274,10 @@ util::ExecContext AsqpModel::ApproxContextFor(
 }
 
 util::Result<AnswerResult> AsqpModel::AnswerPrepared(
-    const PreparedQuery& prepared, const util::ExecContext& context) {
+    const sql::BoundQuery& bound, double answerability,
+    const util::ExecContext& context) {
   AnswerResult result;
-  result.answerability = prepared.answerability;
-  const sql::BoundQuery& bound = prepared.bound;
+  result.answerability = answerability;
 
   if (result.answerability >= config_.answerable_threshold) {
     storage::DatabaseView view(db_, &set_);
@@ -417,32 +417,26 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   BatchStats stats;
   stats.members = n;
   std::vector<std::optional<util::Result<AnswerResult>>> results(n);
-  std::vector<std::optional<PreparedQuery>> prepared(n);
-  for (size_t i = 0; i < n; ++i) {
-    util::Result<PreparedQuery> p = PrepareQuery(*queries[i].stmt);
-    if (!p.ok()) {
-      results[i] = p.status();
-      continue;
-    }
-    prepared[i] = std::move(p).value();
-  }
-
+  std::vector<double> answerability(n);
   storage::DatabaseView view(db_, &set_);
   const uint64_t gen = generation();
 
   // Plan every answerable member once — through the fingerprint-keyed
   // reuse cache when the caller provides one (same canonical text =>
   // same bound structure => same deterministic plan) — and mark it for
-  // the shared scan. Below-threshold members are estimator-routed to the
-  // full database and execute individually: the shared scan is an
-  // approximation-set pass.
+  // the shared scan. Members with no scan to share execute individually:
+  // the only member of a one-query batch (keeping its own plan, index
+  // range scans and retry policy), and below-threshold members, which
+  // the estimator routes to the full database (the shared scan is an
+  // approximation-set pass).
   std::vector<std::shared_ptr<const sql::BoundQuery>> planned(n);
   std::vector<util::ExecContext> approx(n);
   std::vector<size_t> batched;
   for (size_t i = 0; i < n; ++i) {
-    if (results[i].has_value() || !prepared[i].has_value()) continue;
-    if (prepared[i]->answerability < config_.answerable_threshold) {
-      results[i] = AnswerPrepared(*prepared[i], queries[i].context);
+    answerability[i] = PrepareQuery(*queries[i].stmt);
+    if (n == 1 || answerability[i] < config_.answerable_threshold) {
+      results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
+                                  queries[i].context);
       ++stats.solo;
       continue;
     }
@@ -452,7 +446,7 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
     if (cacheable) plan = plan_cache->Lookup(*queries[i].plan_key, gen);
     if (plan == nullptr) {
       plan = std::make_shared<const sql::BoundQuery>(
-          engine_.PlanForView(prepared[i]->bound, view));
+          engine_.PlanForView(*queries[i].bound, view));
       if (cacheable) plan_cache->Insert(*queries[i].plan_key, gen, plan);
     }
     planned[i] = std::move(plan);
@@ -520,7 +514,8 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
       // The shared pass itself failed (batch-wide deadline, injected scan
       // fault): every member falls back to its individual path, which
       // re-runs the full ladder under its own budget.
-      results[i] = AnswerPrepared(*prepared[i], queries[i].context);
+      results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
+                                  queries[i].context);
       ++stats.solo;
       continue;
     }
@@ -529,9 +524,9 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
       // machine-readable reason — while its peers keep their shared-scan
       // answers untouched.
       AnswerResult result;
-      result.answerability = prepared[i]->answerability;
+      result.answerability = answerability[i];
       results[i] = DegradeFrom(
-          prepared[i]->bound, queries[i].context,
+          *queries[i].bound, queries[i].context,
           util::Status::ExecutionError(
               "injected fault(serve.batch): batched member execution failed"),
           std::move(result));
@@ -541,7 +536,7 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
         engine_.ExecutePlanned(*planned[i], view, selections[i], approx[i]);
     if (r.ok()) {
       AnswerResult result;
-      result.answerability = prepared[i]->answerability;
+      result.answerability = answerability[i];
       result.result = std::move(r).value();
       result.used_approximation = true;
       result.tier = AnswerTier::kApproximation;
@@ -559,7 +554,8 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
     // pressure) retries individually: AnswerPrepared re-runs tier 0 with
     // the solo path's retry policy, then walks the ladder — identical
     // semantics to never having been batched.
-    results[i] = AnswerPrepared(*prepared[i], queries[i].context);
+    results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
+                                queries[i].context);
     ++stats.solo;
   }
 

@@ -126,8 +126,12 @@ class AsqpModel {
 
   /// One member of a batched Answer (see AnswerBatch).
   struct BatchQuery {
-    /// The statement to answer; must outlive the AnswerBatch call.
+    /// The statement to answer, as the client wrote it (the estimator and
+    /// the drift list read it); must outlive the AnswerBatch call.
     const sql::SelectStatement* stmt = nullptr;
+    /// `stmt` bound against database(), executed without binding again;
+    /// must outlive the AnswerBatch call.
+    const sql::BoundQuery* bound = nullptr;
     /// Per-member deadline/cancellation, honored exactly as Answer()'s.
     util::ExecContext context;
     /// Canonical fingerprint text used as the plan-reuse key; null (or a
@@ -151,10 +155,12 @@ class AsqpModel {
   /// via `plan_cache` (nullable). Results are byte-identical to calling
   /// Answer() per member: the shared scan reproduces each member's own
   /// filtered-scan output exactly, and members the batch cannot serve
-  /// (answerability below threshold, a failed shared scan, a per-member
-  /// execution failure) fall back to the individual path — a faulted
-  /// member (serve.batch fault point, or any degradation-class failure)
-  /// degrades alone, never its batch peers. Returns one Result per input,
+  /// (the only member of a one-query batch, answerability below
+  /// threshold, a failed shared scan, a per-member execution failure)
+  /// take the individual path — so a solo query keeps its own plan,
+  /// index range scans and retry policy, and a faulted member
+  /// (serve.batch fault point, or any degradation-class failure) degrades
+  /// alone, never its batch peers. Returns one Result per input,
   /// index-aligned.
   ///
   /// Thread safety: a *reader*, same contract as Answer().
@@ -259,21 +265,18 @@ class AsqpModel {
   /// index catalog, and any injected execution pool.
   void RebuildEngine();
 
-  /// Answer()'s pre-execution half: answerability estimate, drift
-  /// bookkeeping, and binding — everything that happens once per
-  /// statement regardless of how (solo or batched) it then executes.
-  struct PreparedQuery {
-    sql::BoundQuery bound;
-    double answerability = 0.0;
-  };
-  [[nodiscard]] util::Result<PreparedQuery> PrepareQuery(
-      const sql::SelectStatement& stmt);
+  /// Answer()'s pre-execution half, run once per statement however it
+  /// then executes (solo or batched): the answerability estimate and the
+  /// drift bookkeeping. Returns the answerability.
+  double PrepareQuery(const sql::SelectStatement& stmt);
 
-  /// Answer()'s execution half: the full degradation ladder over an
-  /// already-prepared query. Answer(stmt, ctx) ==
-  /// AnswerPrepared(PrepareQuery(stmt), ctx).
+  /// Answer()'s execution half: the full degradation ladder over `bound`
+  /// (the statement bound against the database) with its answerability.
+  /// Answer(stmt, ctx) ==
+  /// AnswerPrepared(Bind(stmt), PrepareQuery(stmt), ctx).
   [[nodiscard]] util::Result<AnswerResult> AnswerPrepared(
-      const PreparedQuery& prepared, const util::ExecContext& context);
+      const sql::BoundQuery& bound, double answerability,
+      const util::ExecContext& context);
 
   /// The ladder below tier 0: cost-gated, breaker-guarded full database,
   /// then the learned answerer, then typed kDegraded. `failure` is the

@@ -9,7 +9,7 @@ namespace serve {
 BatchScheduler::BatchScheduler(Options options, ExecuteFn execute)
     : options_(options), execute_(std::move(execute)) {
   gatherer_ = std::thread([this] { GatherLoop(); });
-  const size_t n = std::max<size_t>(1, options_.executors);
+  const size_t n = std::max<size_t>(1, options_.slots);
   executors_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     executors_.emplace_back([this] { ExecutorLoop(); });
@@ -63,6 +63,45 @@ bool BatchScheduler::Submit(Ticket ticket) {
   return true;
 }
 
+bool BatchScheduler::RunInlineOrSubmit(Ticket ticket) {
+  bool run_inline = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    run_inline = options_.window_seconds <= 0.0 && !stop_ &&
+                 queued_tickets_ == 0 &&
+                 running_ < std::max<size_t>(1, options_.slots);
+    if (run_inline) {
+      ++running_;
+      ++submitted_;
+      ++batches_formed_;
+      ++batch_members_;
+      ++inline_runs_;
+    }
+  }
+  if (!run_inline) return Submit(std::move(ticket));
+  // The slot comes back even if the batch throws: the exception reaches
+  // this caller, as a solo query's would.
+  struct SlotRelease {
+    BatchScheduler* scheduler;
+    ~SlotRelease() { scheduler->ReleaseInlineSlot(); }
+  } release{this};
+  std::vector<Ticket> batch;
+  batch.push_back(std::move(ticket));
+  execute_(std::move(batch));
+  return true;
+}
+
+void BatchScheduler::ReleaseInlineSlot() {
+  bool queued = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    queued = !ready_.empty();
+  }
+  // The freed slot goes to the oldest batch that queued meanwhile.
+  if (queued) exec_cv_.notify_one();
+}
+
 void BatchScheduler::GatherLoop() {
   const auto window = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(std::max(0.0, options_.window_seconds)));
@@ -106,17 +145,22 @@ void BatchScheduler::GatherLoop() {
 }
 
 void BatchScheduler::ExecutorLoop() {
+  const size_t slots = std::max<size_t>(1, options_.slots);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    exec_cv_.wait(lock,
-                  [this] { return !ready_.empty() || (stop_ && flushed_); });
+    exec_cv_.wait(lock, [this, slots] {
+      return (!ready_.empty() && running_ < slots) ||
+             (ready_.empty() && stop_ && flushed_);
+    });
     if (ready_.empty()) break;  // stopped, flushed, and drained
     std::vector<Ticket> batch = std::move(ready_.front());
     ready_.pop_front();
     queued_tickets_ -= batch.size();
+    ++running_;
     lock.unlock();
     execute_(std::move(batch));
     lock.lock();
+    --running_;
   }
 }
 
@@ -127,6 +171,7 @@ BatchScheduler::Stats BatchScheduler::stats() const {
   s.rejected = rejected_;
   s.batches_formed = batches_formed_;
   s.batch_members = batch_members_;
+  s.inline_runs = inline_runs_;
   return s;
 }
 

@@ -27,7 +27,6 @@ ServeOptions ServeOptions::FromConfig(const core::AsqpConfig& config) {
   options.shed_to_learned = config.serve_shed_to_learned;
   options.batch_window_ms = config.serve_batch_window_ms;
   options.batch_max_queries = config.serve_batch_max_queries;
-  options.async = config.serve_async;
   return options;
 }
 
@@ -36,24 +35,18 @@ ServeEngine::ServeEngine(core::AsqpModel* model, ServeOptions options)
       options_(options),
       pool_(std::make_shared<util::ThreadPool>(
           std::max<size_t>(1, options.pool_threads))),
-      admission_(std::max<size_t>(1, options.max_inflight),
-                 options.queue_capacity),
       cache_(options.cache_bytes,
              std::max<size_t>(1, options.cache_shards)) {
   model_->SetExecutionPool(pool_);
-  if (options_.batch_window_ms > 0.0 || options_.async) {
-    BatchScheduler::Options sched;
-    sched.window_seconds = std::max(0.0, options_.batch_window_ms) / 1000.0;
-    sched.max_batch = std::max<size_t>(1, options_.batch_max_queries);
-    sched.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-    // Executor threads are the batched path's in-flight bound, matching
-    // the synchronous path's semaphore permit count.
-    sched.executors = std::max<size_t>(1, options_.max_inflight);
-    scheduler_ = std::make_unique<BatchScheduler>(
-        sched, [this](std::vector<BatchScheduler::Ticket>&& batch) {
-          ExecuteBatch(std::move(batch));
-        });
-  }
+  BatchScheduler::Options sched;
+  sched.window_seconds = std::max(0.0, options_.batch_window_ms) / 1000.0;
+  sched.max_batch = std::max<size_t>(1, options_.batch_max_queries);
+  sched.queue_capacity = options_.queue_capacity;
+  sched.slots = std::max<size_t>(1, options_.max_inflight);
+  scheduler_ = std::make_unique<BatchScheduler>(
+      sched, [this](std::vector<BatchScheduler::Ticket>&& batch) {
+        ExecuteBatch(std::move(batch));
+      });
 }
 
 ServeEngine::~ServeEngine() {
@@ -65,17 +58,30 @@ ServeEngine::~ServeEngine() {
   model_->SetExecutionPool(nullptr);
 }
 
-util::Result<core::AnswerResult> ServeEngine::Answer(
-    const sql::SelectStatement& stmt, const util::ExecContext& context) {
-  // With the scheduler on there is exactly one serving path: synchronous
-  // callers ride the batched/async machinery and block on the future, so
-  // their queries gather into the same shared-scan batches. Take(), not
-  // Get(): this future has exactly one consumer, so the resolved answer
-  // moves out without a row-set copy.
-  if (scheduler_ != nullptr) return AnswerAsync(stmt, context).Take();
+ServeEngine::Stats ServeEngine::stats() const {
+  const BatchScheduler::Stats b = scheduler_->stats();
+  Stats s;
+  s.served = served_.load(std::memory_order_relaxed);
+  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  s.admitted = admitted_.load(std::memory_order_relaxed);
+  s.rejected = rejected_.load(std::memory_order_relaxed);
+  s.admission_expired = admission_expired_.load(std::memory_order_relaxed);
+  s.shed_learned = shed_learned_.load(std::memory_order_relaxed);
+  s.degraded = degraded_.load(std::memory_order_relaxed);
+  s.expired_fast_path = expired_fast_path_.load(std::memory_order_relaxed);
+  s.queue_depth = scheduler_->QueueDepth();
+  s.batches_formed = b.batches_formed;
+  s.batch_members = b.batch_members;
+  s.shared_scan_saved = shared_scan_saved_.load(std::memory_order_relaxed);
+  s.batch_solo = batch_solo_.load(std::memory_order_relaxed);
+  s.inline_runs = b.inline_runs;
+  return s;
+}
 
+ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
+                                          const util::ExecContext& context) {
   // Load-shedding fast path: a request that is already dead on arrival
-  // never costs the admission queue or an execution slot. Raw deadline /
+  // never costs a ticket or an execution slot. Raw deadline /
   // cancellation reads here, never ExecContext::Check() — the latter
   // fires the exec.deadline fault point and would turn away healthy
   // clients under chaos testing.
@@ -90,116 +96,65 @@ util::Result<core::AnswerResult> ServeEngine::Answer(
         "serve: deadline already expired on arrival");
   }
 
-  // Pre-admission reader scope: binding and the cache probe read the
-  // model (database schema, generation), so they must see a stable model
-  // — a concurrent FineTune may otherwise swap the policy or bump the
-  // generation mid-fingerprint. The lock is released before admission:
-  // queued waiters must not hold a reader lock or FineTune's writer
-  // acquisition would deadlock against a full admission queue.
-  sql::QueryFingerprint fp;
-  {
-    std::shared_lock<std::shared_mutex> reader(model_mu_);
-    // Fingerprint the *bound* statement so table aliases normalize away.
-    // Binding is cheap (name resolution only) relative to execution, and
-    // a failed bind short-circuits before admission.
-    ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound,
-                          sql::Bind(stmt, *model_->database()));
-    fp = sql::FingerprintQuery(bound.stmt);
-
-    // Cache hits bypass admission entirely: they cost a shard lock and a
-    // copy, not an execution slot.
-    if (auto hit = cache_.Lookup(fp, model_->generation())) {
-      core::AnswerResult result = *hit;
-      result.from_cache = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-  }
-
-  // Admission: bounded in-flight executions, FIFO queue behind them, the
-  // caller's deadline/cancellation honored while waiting. A request that
-  // cannot be admitted is load-shed to the learned fallback when the
-  // query is in its class; otherwise queue-full keeps its typed
-  // back-pressure error and expiry/cancellation while queued becomes a
-  // typed kDegraded (the budget is gone — there is nothing to retry).
-  {
-    util::Status admitted = admission_.Acquire(context);
-    if (!admitted.ok()) {
-      const bool queue_full =
-          admitted.code() == util::StatusCode::kResourceExhausted;
-      if (queue_full) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        admission_expired_.fetch_add(1, std::memory_order_relaxed);
-      }
-      const char* shed_reason =
-          queue_full ? "shed:queue_full"
-          : admitted.code() == util::StatusCode::kCancelled
-              ? "shed:cancelled"
-              : "shed:admission_deadline";
-      if (options_.shed_to_learned) {
-        std::shared_lock<std::shared_mutex> reader(model_mu_);
-        util::Result<core::AnswerResult> shed =
-            model_->TryLearnedAnswer(stmt);
-        if (shed.ok()) {
-          shed.value().fallback_reason = shed_reason;
-          shed_learned_.fetch_add(1, std::memory_order_relaxed);
-          served_.fetch_add(1, std::memory_order_relaxed);
-          return shed;
-        }
-      }
-      if (queue_full) return admitted;
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      return util::Status::Degraded(
-          "admission budget exhausted while queued and the learned tier "
-          "cannot answer: " +
-          admitted.ToString());
-    }
-  }
-  util::SemaphoreReleaser release(&admission_);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-
-  // Reader lock: many Answers run concurrently; FineTune excludes them.
+  // Reader scope: binding and the cache probe read the model (database
+  // schema, generation), so they must see a stable model — a concurrent
+  // FineTune may otherwise swap the policy or bump the generation
+  // mid-fingerprint. Released before admission: tickets queue in the
+  // scheduler, not under the model lock, or FineTune's writer
+  // acquisition would deadlock against a full queue.
   std::shared_lock<std::shared_mutex> reader(model_mu_);
-  const uint64_t generation = model_->generation();
-  util::Result<core::AnswerResult> answered = model_->Answer(stmt, context);
-  if (!answered.ok()) {
-    const util::Status& failure = answered.status();
-    if (failure.code() == util::StatusCode::kDeadlineExceeded ||
-        failure.code() == util::StatusCode::kCancelled) {
-      // Belt and suspenders: the ladder degrades deadline/cancellation
-      // failures itself, but one racing the ladder's tier boundaries can
-      // still leak — convert it here so an admitted client never sees a
-      // raw timeout.
-      if (options_.shed_to_learned) {
-        util::Result<core::AnswerResult> shed =
-            model_->TryLearnedAnswer(stmt);
-        if (shed.ok()) {
-          shed.value().fallback_reason =
-              "shed:" + core::FallbackReasonFromStatus(failure);
-          shed_learned_.fetch_add(1, std::memory_order_relaxed);
-          served_.fetch_add(1, std::memory_order_relaxed);
-          return shed;
-        }
-      }
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      return util::Status::Degraded(
-          "no tier could answer within the budget: " + failure.ToString());
-    }
-    if (failure.code() == util::StatusCode::kDegraded) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return failure;
+  // Fingerprint the *bound* statement so table aliases normalize away.
+  // The ticket carries the bound query, so execution never binds again.
+  util::Result<sql::BoundQuery> bound = sql::Bind(stmt, *model_->database());
+  if (!bound.ok()) return bound.status();
+  sql::QueryFingerprint fingerprint = sql::FingerprintQuery(bound.value().stmt);
+  // Cache hits bypass admission entirely: they cost a shard lock and a
+  // copy, not an execution slot.
+  if (auto hit = cache_.Lookup(fingerprint, model_->generation())) {
+    core::AnswerResult result = *hit;
+    result.from_cache = true;
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    served_.fetch_add(1, std::memory_order_relaxed);
+    return result;
   }
-  core::AnswerResult result = std::move(answered).value();
-  // Degraded (fell-back) answers are not cached: a retry without pressure
-  // may serve the better approximation-set answer.
-  if (!result.fell_back) {
-    cache_.Insert(fp, generation, result);
+  reader.unlock();
+
+  BatchScheduler::Ticket ticket;
+  // Group key: sorted, deduplicated bound table names — queries over the
+  // same table set gather into one shared-scan batch regardless of the
+  // order tables appear in the FROM list.
+  std::vector<std::string> names;
+  names.reserve(bound.value().tables.size());
+  for (const auto& table : bound.value().tables) {
+    names.push_back(table->name());
   }
-  served_.fetch_add(1, std::memory_order_relaxed);
-  return result;
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  for (const std::string& name : names) {
+    if (!ticket.group_key.empty()) ticket.group_key += ',';
+    ticket.group_key += name;
+  }
+  ticket.stmt = stmt.Clone();
+  ticket.bound = std::move(bound).value();
+  ticket.fingerprint = std::move(fingerprint);
+  ticket.context = context;
+  return ticket;
+}
+
+util::Result<core::AnswerResult> ServeEngine::Answer(
+    const sql::SelectStatement& stmt, const util::ExecContext& context) {
+  FrontHalf front = Front(stmt, context);
+  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
+    return std::move(*resolved);
+  }
+  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
+  AnswerFuture future = ticket.promise.future();
+  if (!scheduler_->RunInlineOrSubmit(std::move(ticket))) {
+    return RejectQueueFull(stmt);
+  }
+  // Take(), not Get(): this future has exactly one consumer, so the
+  // resolved answer moves out without a row-set copy.
+  return future.Take();
 }
 
 util::Result<core::AnswerResult> ServeEngine::AnswerSql(
@@ -210,89 +165,18 @@ util::Result<core::AnswerResult> ServeEngine::AnswerSql(
 
 AnswerFuture ServeEngine::AnswerAsync(const sql::SelectStatement& stmt,
                                       const util::ExecContext& context) {
-  AnswerPromise promise;
-  AnswerFuture future = promise.future();
-  if (scheduler_ == nullptr) {
-    // No scheduler: degrade gracefully to the synchronous path, resolved
-    // before the future is returned.
-    promise.Resolve(Answer(stmt, context));
-    return future;
+  FrontHalf front = Front(stmt, context);
+  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
+    AnswerPromise promise;
+    promise.Resolve(std::move(*resolved));
+    return promise.future();
   }
-
-  // Same fast-path raw checks as the synchronous path: a dead-on-arrival
-  // request never costs a ticket slot. Raw reads, never Check() — chaos
-  // testing arms the exec.deadline fault point.
-  if (context.IsCancelled()) {
-    expired_fast_path_.fetch_add(1, std::memory_order_relaxed);
-    promise.Resolve(util::Status::Cancelled(
-        "serve: request already cancelled on arrival"));
-    return future;
-  }
-  if (context.deadline().Expired()) {
-    expired_fast_path_.fetch_add(1, std::memory_order_relaxed);
-    promise.Resolve(util::Status::DeadlineExceeded(
-        "serve: deadline already expired on arrival"));
-    return future;
-  }
-
-  BatchScheduler::Ticket ticket;
-  {
-    // Reader scope mirrors the synchronous pre-admission scope: bind,
-    // fingerprint, cache probe. Released before Submit — tickets queue in
-    // the scheduler, not under the model lock.
-    std::shared_lock<std::shared_mutex> reader(model_mu_);
-    util::Result<sql::BoundQuery> bound = sql::Bind(stmt, *model_->database());
-    if (!bound.ok()) {
-      promise.Resolve(bound.status());
-      return future;
-    }
-    ticket.fingerprint = sql::FingerprintQuery(bound.value().stmt);
-    if (auto hit = cache_.Lookup(ticket.fingerprint, model_->generation())) {
-      core::AnswerResult result = *hit;
-      result.from_cache = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      promise.Resolve(std::move(result));
-      return future;
-    }
-    // Group key: sorted, deduplicated bound table names — queries over the
-    // same table set gather into one shared-scan batch regardless of the
-    // order tables appear in the FROM list.
-    std::vector<std::string> names;
-    names.reserve(bound.value().tables.size());
-    for (const auto& table : bound.value().tables) {
-      names.push_back(table->name());
-    }
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    for (const std::string& name : names) {
-      if (!ticket.group_key.empty()) ticket.group_key += ',';
-      ticket.group_key += name;
-    }
-  }
-  ticket.stmt = stmt.Clone();
-  ticket.context = context;
-  ticket.promise = promise;
-
+  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
+  const AnswerPromise promise = ticket.promise;
   if (!scheduler_->Submit(std::move(ticket))) {
-    // Ticket queue full: same shed / typed back-pressure contract as a
-    // full admission queue on the synchronous path.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.shed_to_learned) {
-      std::shared_lock<std::shared_mutex> reader(model_mu_);
-      util::Result<core::AnswerResult> shed = model_->TryLearnedAnswer(stmt);
-      if (shed.ok()) {
-        shed.value().fallback_reason = "shed:queue_full";
-        shed_learned_.fetch_add(1, std::memory_order_relaxed);
-        served_.fetch_add(1, std::memory_order_relaxed);
-        promise.Resolve(std::move(shed));
-        return future;
-      }
-    }
-    promise.Resolve(util::Status::ResourceExhausted(
-        "serve: batch ticket queue is full"));
+    promise.Resolve(RejectQueueFull(stmt));
   }
-  return future;
+  return promise.future();
 }
 
 AnswerFuture ServeEngine::AnswerSqlAsync(const std::string& sql,
@@ -306,16 +190,46 @@ AnswerFuture ServeEngine::AnswerSqlAsync(const std::string& sql,
   return AnswerAsync(stmt.value(), context);
 }
 
+util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
+    const sql::SelectStatement& stmt) {
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> reader(model_mu_);
+  util::Result<core::AnswerResult> shed =
+      ShedOr(*model_, stmt, "shed:queue_full",
+             util::Status::ResourceExhausted(
+                 "serve: admission queue is full; retry later"));
+  if (shed.ok()) served_.fetch_add(1, std::memory_order_relaxed);
+  return shed;
+}
+
+util::Result<core::AnswerResult> ServeEngine::ShedOr(
+    const core::AsqpModel& model, const sql::SelectStatement& stmt,
+    std::string reason, util::Status otherwise) {
+  if (options_.shed_to_learned) {
+    util::Result<core::AnswerResult> shed = model.TryLearnedAnswer(stmt);
+    if (shed.ok()) {
+      shed.value().fallback_reason = std::move(reason);
+      shed_learned_.fetch_add(1, std::memory_order_relaxed);
+      return shed;
+    }
+  }
+  if (otherwise.code() == util::StatusCode::kDegraded) {
+    degraded_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return otherwise;
+}
+
 void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
   // Reader lock for the whole batch: FineTune's writer waits for at most
-  // one in-flight batch per executor thread.
+  // one in-flight batch per slot.
   std::shared_lock<std::shared_mutex> reader(model_mu_);
-  const uint64_t generation = model_->generation();
+  core::AsqpModel& model = *model_;
+  const uint64_t generation = model.generation();
 
-  // Triage each ticket: expired/cancelled while queued (shed, as the
-  // synchronous admission path does), answered by the cache since it was
-  // submitted, or deduplicated onto a canonically-equivalent peer in the
-  // same batch. Survivors become batch representatives.
+  // Triage each ticket: expired/cancelled while queued (shed: the budget
+  // is gone, there is nothing to retry), answered by the cache since it
+  // was submitted, or deduplicated onto a canonically-equivalent peer in
+  // the same batch. Survivors become batch representatives.
   struct Representative {
     size_t ticket = 0;
     std::vector<size_t> duplicates;
@@ -324,26 +238,19 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
   std::map<std::string, size_t> by_canonical;
   for (size_t i = 0; i < tickets.size(); ++i) {
     BatchScheduler::Ticket& ticket = tickets[i];
+    // Raw reads, never Check(): the exec.deadline fault point must not
+    // shed a healthy ticket.
     const bool cancelled = ticket.context.IsCancelled();
     if (cancelled || ticket.context.deadline().Expired()) {
       admission_expired_.fetch_add(1, std::memory_order_relaxed);
-      const char* shed_reason =
-          cancelled ? "shed:cancelled" : "shed:admission_deadline";
-      if (options_.shed_to_learned) {
-        util::Result<core::AnswerResult> shed =
-            model_->TryLearnedAnswer(ticket.stmt);
-        if (shed.ok()) {
-          shed.value().fallback_reason = shed_reason;
-          shed_learned_.fetch_add(1, std::memory_order_relaxed);
-          served_.fetch_add(1, std::memory_order_relaxed);
-          ticket.promise.Resolve(std::move(shed));
-          continue;
-        }
-      }
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      ticket.promise.Resolve(util::Status::Degraded(
-          "admission budget exhausted while queued and the learned tier "
-          "cannot answer"));
+      util::Result<core::AnswerResult> shed =
+          ShedOr(model, ticket.stmt,
+                 cancelled ? "shed:cancelled" : "shed:admission_deadline",
+                 util::Status::Degraded(
+                     "admission budget exhausted while queued and the "
+                     "learned tier cannot answer"));
+      if (shed.ok()) served_.fetch_add(1, std::memory_order_relaxed);
+      ticket.promise.Resolve(std::move(shed));
       continue;
     }
     if (auto hit = cache_.Lookup(ticket.fingerprint, generation)) {
@@ -372,53 +279,42 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
   queries.reserve(reps.size());
   for (const Representative& rep : reps) {
     const BatchScheduler::Ticket& t = tickets[rep.ticket];
-    queries.push_back(core::AsqpModel::BatchQuery{&t.stmt, t.context,
-                                                  &t.fingerprint.canonical});
+    queries.push_back(core::AsqpModel::BatchQuery{
+        &t.stmt, &t.bound, t.context, &t.fingerprint.canonical});
   }
   core::AsqpModel::BatchStats bstats;
   std::vector<util::Result<core::AnswerResult>> answers =
-      model_->AnswerBatch(queries, &plan_cache_, &bstats);
+      model.AnswerBatch(queries, &plan_cache_, &bstats);
   shared_scan_saved_.fetch_add(bstats.scans_saved, std::memory_order_relaxed);
   batch_solo_.fetch_add(bstats.solo, std::memory_order_relaxed);
 
-  // Per-representative tail — the same shed/degrade conversion the
-  // synchronous path applies after model_->Answer. A member that failed
-  // degrades alone; its peers' results are already computed and resolve
-  // normally.
+  // Convert each representative's outcome. A member that failed degrades
+  // alone; its peers' results are already computed and resolve normally.
   for (size_t r = 0; r < reps.size(); ++r) {
     const Representative& rep = reps[r];
     BatchScheduler::Ticket& ticket = tickets[rep.ticket];
     util::Result<core::AnswerResult> outcome = std::move(answers[r]);
-    if (!outcome.ok()) {
+    if (outcome.ok()) {
+      // Degraded (fell-back) answers are not cached: a retry without
+      // pressure may serve the better approximation-set answer.
+      if (!outcome.value().fell_back) {
+        cache_.Insert(ticket.fingerprint, generation, outcome.value());
+      }
+    } else {
       const util::Status failure = outcome.status();
       if (failure.code() == util::StatusCode::kDeadlineExceeded ||
           failure.code() == util::StatusCode::kCancelled) {
-        bool converted = false;
-        if (options_.shed_to_learned) {
-          util::Result<core::AnswerResult> shed =
-              model_->TryLearnedAnswer(ticket.stmt);
-          if (shed.ok()) {
-            shed.value().fallback_reason =
-                "shed:" + core::FallbackReasonFromStatus(failure);
-            shed_learned_.fetch_add(1, std::memory_order_relaxed);
-            outcome = std::move(shed);
-            converted = true;
-          }
-        }
-        if (!converted) {
-          degraded_.fetch_add(1, std::memory_order_relaxed);
-          outcome = util::Status::Degraded(
-              "no tier could answer within the budget: " +
-              failure.ToString());
-        }
+        // Belt and suspenders: the ladder degrades deadline/cancellation
+        // failures itself, but one racing the ladder's tier boundaries
+        // can still leak — convert it here so a client never sees a raw
+        // timeout.
+        outcome = ShedOr(model, ticket.stmt,
+                         "shed:" + core::FallbackReasonFromStatus(failure),
+                         util::Status::Degraded(
+                             "no tier could answer within the budget: " +
+                             failure.ToString()));
       } else if (failure.code() == util::StatusCode::kDegraded) {
         degraded_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      // Degraded (fell-back) answers are not cached, as on the
-      // synchronous path.
-      if (!outcome.value().fell_back) {
-        cache_.Insert(ticket.fingerprint, generation, outcome.value());
       }
     }
     if (outcome.ok()) {

@@ -1,41 +1,34 @@
 // The concurrent serving layer: one ServeEngine fronts one trained
-// AsqpModel for N simultaneous mediator sessions.
-//
-// Three mechanisms turn the single-query mediator into a server:
-//   1. A process-wide util::ThreadPool shared by every session's
-//      morsel-parallel execution (injected via ExecOptions::shared_pool),
-//      so N concurrent queries use one bounded pool instead of N private
-//      ones — total execution threads never exceed the configured cap
-//      (observable via util::ThreadPool::LiveWorkerCount()).
-//   2. Admission control: a FIFO-fair semaphore bounds in-flight queries
-//      at serve_max_inflight; further sessions queue (bounded at
-//      serve_queue_capacity, honoring each waiter's ExecContext deadline/
-//      cancellation) or are rejected with kResourceExhausted.
-//   3. A sharded answer cache keyed by sql::QueryFingerprint of the bound
-//      AST: repeat queries — in any equivalent spelling — return the
-//      cached AnswerResult without executing or occupying an admission
-//      slot. Entries are stamped with the model's approximation-set
+// AsqpModel for N simultaneous mediator sessions. Every query takes the
+// same path, whether the client calls Answer or AnswerAsync:
+//   1. The front half. A request whose deadline or cancellation is
+//      already dead on arrival is turned away with a typed error. Then,
+//      under the reader lock, the statement is bound, fingerprinted
+//      (sql::QueryFingerprint of the bound AST) and probed in a sharded
+//      answer cache: a repeat query, in any equivalent spelling, returns
+//      the cached AnswerResult without admission. A miss becomes a
+//      BatchScheduler ticket carrying the bound query and its table-set
+//      key. Cache entries are stamped with the model's approximation-set
 //      generation; FineTune() bumps it, invalidating every stale entry.
-//   4. Overload control (the serve side of the degradation ladder): a
-//      request whose deadline is already dead is turned away before it
-//      costs an admission slot; a request that cannot be admitted (queue
-//      full, expired/cancelled while queued) is load-shed to the model's
-//      learned fallback when it can take the query; and a deadline or
-//      cancellation that leaks out of the ladder is converted to a
-//      learned answer or a typed kDegraded — under overload a client gets
-//      an answer (possibly approximate, with an error estimate) or a
-//      typed degradation, never a raw timeout.
-//   5. Batched multi-query execution + async sessions (opt-in via
-//      batch_window_ms > 0 or async): queries become scheduler tickets
-//      grouped by table set within a gather window; each batch plans its
-//      members once (fingerprint-keyed plan reuse) and executes one
-//      shared scan pass per table (AsqpModel::AnswerBatch), with results
-//      byte-identical to the unbatched path. AnswerAsync returns an
-//      AnswerFuture resolved by the scheduler's fixed executor threads,
-//      so hundreds of sessions wait without hundreds of threads; the
-//      FifoSemaphore admission of the synchronous path becomes the
-//      scheduler's bounded ticket queue (queue-full keeps the same shed /
-//      back-pressure semantics).
+//   2. Admission, by the BatchScheduler alone. At most max_inflight
+//      batches execute at once and up to queue_capacity tickets queue
+//      behind them in arrival order. AnswerAsync queues its ticket and
+//      returns an AnswerFuture; Answer runs its ticket on its own thread
+//      when the gather window is 0, a slot is free and nothing is queued,
+//      and otherwise queues it and waits. Same-table-set tickets that
+//      meet within batch_window_ms execute as one batch sharing a single
+//      scan pass per table (AsqpModel::AnswerBatch), byte-identical to
+//      solo execution.
+//   3. The tail, ExecuteBatch, whichever thread runs it: expiry while
+//      queued, a cache hit since submission, canonical dedup, execution,
+//      and the conversion of every outcome. Under overload a client gets
+//      an answer (possibly load-shed to the model's learned fallback,
+//      with an error estimate) or a typed degradation — kDegraded, or
+//      kResourceExhausted when the queue is full — never a raw timeout.
+// Every query's morsel-parallel execution runs on one process-wide
+// util::ThreadPool (injected via ExecOptions::shared_pool), so total
+// execution threads never exceed its cap (util::ThreadPool::
+// LiveWorkerCount()).
 //
 // Answer() calls may run from any number of threads. FineTune() takes the
 // engine's writer lock, so in-flight queries drain before the model is
@@ -47,6 +40,8 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "core/config.h"
 #include "core/model.h"
@@ -57,19 +52,19 @@
 #include "util/annotations.h"
 #include "util/exec_context.h"
 #include "util/status.h"
-#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace asqp {
 namespace serve {
 
 struct ServeOptions {
-  /// Concurrent Answer() executions admitted at once.
+  /// Queries executing at once (inline on a caller's thread or on one of
+  /// the scheduler's executor threads).
   size_t max_inflight = 4;
-  /// Sessions allowed to queue behind them (excess is rejected).
+  /// Queries allowed to queue behind them (excess is rejected).
   size_t queue_capacity = 16;
   /// Worker threads in the shared execution pool. Total morsel
-  /// concurrency per query = pool workers + the session's own thread.
+  /// concurrency per query = pool workers + the executing thread.
   /// 0 = 1 worker.
   size_t pool_threads = 1;
   /// Answer-cache byte budget (0 disables caching).
@@ -81,24 +76,19 @@ struct ServeOptions {
   /// fallback instead of erroring. Unsupported queries keep the typed
   /// admission error (queue full) or degrade to kDegraded.
   bool shed_to_learned = true;
-  /// Gather window for shared-scan batching, in milliseconds. > 0 routes
-  /// queries through the BatchScheduler: same-table-set queries arriving
-  /// within the window execute as one batch sharing a single scan pass per
-  /// table. 0 (the default) keeps batching off unless `async` turns the
-  /// scheduler on with an empty window (immediate per-query batches).
+  /// Gather window for shared-scan batching, in milliseconds: same-table-
+  /// set queries arriving within the window execute as one batch sharing
+  /// a single scan pass per table. 0 (the default) forms a batch per
+  /// query the moment it is admitted.
   double batch_window_ms = 0.0;
   /// Queries a gathering group may accumulate before it executes without
   /// waiting out the window.
   size_t batch_max_queries = 8;
-  /// Route queries through the scheduler even with a zero window, so
-  /// AnswerAsync never blocks the caller (futures resolve on the
-  /// scheduler's executor threads).
-  bool async = false;
 
   /// Derive the serving knobs from a model's AsqpConfig
   /// (serve_max_inflight, serve_queue_capacity, serve_pool_threads /
   /// exec_threads, cache_bytes, serve_shed_to_learned,
-  /// serve_batch_window_ms, serve_batch_max_queries, serve_async).
+  /// serve_batch_window_ms, serve_batch_max_queries).
   static ServeOptions FromConfig(const core::AsqpConfig& config);
 };
 
@@ -112,10 +102,13 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Serve one query: fingerprint -> cache lookup -> (on miss) admission
-  /// -> AsqpModel::Answer -> cache fill. Cache hits return immediately
-  /// with AnswerResult::from_cache set, bypassing admission. `context`
-  /// bounds both the admission wait and the execution.
+  /// Serve one query and wait for its answer: front half (cache hits
+  /// return here, bypassing admission), then admission and execution —
+  /// on this thread when the gather window is 0, a slot is free and no
+  /// ticket is queued, else on an executor thread after the queued
+  /// tickets ahead of it. `context` bounds the execution; a deadline or
+  /// cancellation that trips while the ticket is queued is noticed when
+  /// it leaves the queue (shed to the learned tier, or kDegraded).
   [[nodiscard]] util::Result<core::AnswerResult> Answer(
       const sql::SelectStatement& stmt,
       const util::ExecContext& context = util::ExecContext());
@@ -126,11 +119,9 @@ class ServeEngine {
       const util::ExecContext& context = util::ExecContext());
 
   /// Serve one query without blocking the caller: returns an AnswerFuture
-  /// that resolves when the query's batch executes (or immediately on a
-  /// cache hit / fast-path rejection). Requires the scheduler (`async` or
-  /// `batch_window_ms > 0`); with the scheduler off this degenerates to a
-  /// pre-resolved future holding Answer()'s result. Results are
-  /// byte-identical to the synchronous path.
+  /// that resolves when the query's batch executes on an executor thread
+  /// (or immediately on a cache hit / fast-path rejection). Results are
+  /// byte-identical to Answer().
   [[nodiscard]] AnswerFuture AnswerAsync(
       const sql::SelectStatement& stmt,
       const util::ExecContext& context = util::ExecContext());
@@ -154,35 +145,14 @@ class ServeEngine {
     uint64_t shed_learned = 0;    ///< load-shed to the learned fallback
     uint64_t degraded = 0;        ///< every tier exhausted (kDegraded)
     uint64_t expired_fast_path = 0;  ///< dead on arrival, never admitted
-    /// Batching/queue observability (all zero with the scheduler off).
     uint64_t queue_depth = 0;     ///< tickets queued right now (gauge)
-    uint64_t batches_formed = 0;  ///< ticket groups promoted to execution
+    uint64_t batches_formed = 0;  ///< batches executed, inline included
     uint64_t batch_members = 0;   ///< tickets across all formed batches
     uint64_t shared_scan_saved = 0;  ///< table scans avoided by sharing
     uint64_t batch_solo = 0;      ///< members that fell back to solo exec
+    uint64_t inline_runs = 0;     ///< batches run on the caller's thread
   };
-  Stats stats() const {
-    Stats s{served_.load(std::memory_order_relaxed),
-            cache_hits_.load(std::memory_order_relaxed),
-            admitted_.load(std::memory_order_relaxed),
-            rejected_.load(std::memory_order_relaxed),
-            admission_expired_.load(std::memory_order_relaxed),
-            shed_learned_.load(std::memory_order_relaxed),
-            degraded_.load(std::memory_order_relaxed),
-            expired_fast_path_.load(std::memory_order_relaxed),
-            0,
-            0,
-            0,
-            shared_scan_saved_.load(std::memory_order_relaxed),
-            batch_solo_.load(std::memory_order_relaxed)};
-    if (scheduler_ != nullptr) {
-      const BatchScheduler::Stats b = scheduler_->stats();
-      s.queue_depth = scheduler_->QueueDepth();
-      s.batches_formed = b.batches_formed;
-      s.batch_members = b.batch_members;
-    }
-    return s;
-  }
+  Stats stats() const;
 
   const AnswerCache& cache() const { return cache_; }
   AnswerCache& mutable_cache() { return cache_; }
@@ -194,18 +164,42 @@ class ServeEngine {
   util::ThreadPool* pool() { return pool_.get(); }
 
  private:
-  /// Drain one scheduler batch on an executor thread: per-ticket expiry /
-  /// cache re-probe / canonical dedup, then AsqpModel::AnswerBatch for the
-  /// representatives, then resolve every ticket's promise with the same
-  /// shed/degrade tail as the synchronous path.
+  /// What the front half ends in: a resolved answer (cache hit, dead on
+  /// arrival, bind failure) or a ticket to admit.
+  using FrontHalf =
+      std::variant<util::Result<core::AnswerResult>, BatchScheduler::Ticket>;
+
+  /// The front half Answer and AnswerAsync share: the dead-on-arrival
+  /// check, then — under the reader lock — bind, fingerprint, cache probe
+  /// and the table-set key.
+  FrontHalf Front(const sql::SelectStatement& stmt,
+                  const util::ExecContext& context);
+
+  /// The answer for a query the scheduler refused (queue full): load-shed
+  /// to the learned fallback, or typed kResourceExhausted back-pressure.
+  util::Result<core::AnswerResult> RejectQueueFull(
+      const sql::SelectStatement& stmt);
+
+  /// The shed conversion: `stmt` answered by `model`'s learned fallback,
+  /// labelled `reason` ("shed:<cause>"), when shedding is on and the
+  /// learned tier can take the query; `otherwise` when not. The caller
+  /// holds the reader lock that guards `model`.
+  util::Result<core::AnswerResult> ShedOr(const core::AsqpModel& model,
+                                          const sql::SelectStatement& stmt,
+                                          std::string reason,
+                                          util::Status otherwise);
+
+  /// Execute one batch — on an executor thread, or inline on the caller's
+  /// for a solo ticket: per-ticket expiry / cache re-probe / canonical
+  /// dedup, then AsqpModel::AnswerBatch for the representatives, then
+  /// resolve every ticket's promise with its converted outcome.
   void ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets);
 
-  /// Readers (shared_lock): Answer() binds, fingerprints, and executes
+  /// Readers (shared_lock): queries bind, fingerprint, and execute
   /// against a stable model. Writer (unique_lock): FineTune().
   core::AsqpModel* model_ ASQP_GUARDED_BY(model_mu_);
   ServeOptions options_;
   std::shared_ptr<util::ThreadPool> pool_;
-  util::FifoSemaphore admission_;
   AnswerCache cache_;
   /// Fingerprint-keyed planned-query reuse for batch members (internally
   /// synchronized; generation-stamped like the answer cache).
@@ -223,8 +217,8 @@ class ServeEngine {
   std::atomic<uint64_t> shared_scan_saved_{0};
   std::atomic<uint64_t> batch_solo_{0};
 
-  /// Non-null iff batching/async is on. Declared last so its destructor
-  /// runs first: pending batches flush against a still-live engine.
+  /// The admission gate. Declared last so its destructor runs first:
+  /// pending batches flush against a still-live engine.
   std::unique_ptr<BatchScheduler> scheduler_;
 };
 

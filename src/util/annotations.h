@@ -11,12 +11,12 @@
 //
 // Usage:
 //
-//   class FifoSemaphore {
+//   class BatchScheduler {
 //    private:
 //     std::mutex mu_;
-//     size_t permits_ ASQP_GUARDED_BY(mu_);   // only touch under mu_
+//     size_t running_ ASQP_GUARDED_BY(mu_);  // only touch under mu_
 //    public:
-//     void Release() ASQP_EXCLUDES(mu_);      // never call holding mu_
+//     bool Submit(Ticket t) ASQP_EXCLUDES(mu_);  // never call holding mu_
 //   };
 //
 // asqp-lint enforces:

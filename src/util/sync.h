@@ -1,18 +1,13 @@
-// Small synchronization primitives used by the shared execution pool and
-// the serving layer's admission control: a count-down Latch (per-call
-// completion barrier for ThreadPool::ParallelFor) and a FIFO-fair,
-// deadline-aware counting semaphore with a bounded waiter queue
-// (serve::ServeEngine's in-flight query limiter).
+// A count-down Latch: the per-call completion barrier of
+// ThreadPool::ParallelFor. (The serving layer's admission gate is
+// serve::BatchScheduler.)
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <mutex>
 
 #include "util/annotations.h"
-#include "util/exec_context.h"
-#include "util/status.h"
 
 namespace asqp {
 namespace util {
@@ -44,79 +39,6 @@ class Latch {
   std::mutex mu_;
   std::condition_variable cv_;
   size_t count_ ASQP_GUARDED_BY(mu_);
-};
-
-/// \brief FIFO-fair counting semaphore with a bounded waiter queue and
-/// per-waiter deadlines.
-///
-/// Admission semantics (the serving layer's contract):
-///   - a free permit is granted immediately only when no waiter is queued
-///     (strict FIFO: late arrivals never overtake queued sessions);
-///   - when all permits are taken, Acquire() queues the caller unless the
-///     queue already holds `max_waiters` entries, in which case it returns
-///     kResourceExhausted immediately (back-pressure instead of unbounded
-///     queue growth);
-///   - a queued waiter honors its ExecContext: expiry returns
-///     kDeadlineExceeded, cooperative cancellation returns kCancelled, and
-///     the waiter is unlinked from the queue either way. A permit is
-///     handed directly from Release() to the front waiter, so a timed-out
-///     waiter never strands one.
-class FifoSemaphore {
- public:
-  /// `permits` concurrent holders; at most `max_waiters` queued behind them.
-  FifoSemaphore(size_t permits, size_t max_waiters)
-      : permits_(permits), max_waiters_(max_waiters) {}
-
-  FifoSemaphore(const FifoSemaphore&) = delete;
-  FifoSemaphore& operator=(const FifoSemaphore&) = delete;
-
-  /// Block until a permit is granted or `context` trips. Every successful
-  /// Acquire must be paired with exactly one Release.
-  [[nodiscard]] Status Acquire(const ExecContext& context = ExecContext())
-      ASQP_EXCLUDES(mu_);
-
-  /// Non-blocking: grab a permit only if one is free and nobody is queued.
-  bool TryAcquire() ASQP_EXCLUDES(mu_);
-
-  void Release() ASQP_EXCLUDES(mu_);
-
-  size_t available() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return permits_;
-  }
-  size_t waiting() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return waiters_.size();
-  }
-  size_t max_waiters() const { return max_waiters_; }
-
- private:
-  struct Waiter {
-    std::condition_variable cv;
-    bool granted ASQP_GUARDED_BY(mu_) = false;
-  };
-
-  mutable std::mutex mu_;
-  size_t permits_ ASQP_GUARDED_BY(mu_);
-  size_t max_waiters_;  // immutable after construction
-  /// Front = next to be granted. Entries point at stack-allocated Waiters
-  /// inside Acquire frames; a waiter unlinks itself before returning.
-  std::deque<Waiter*> waiters_ ASQP_GUARDED_BY(mu_);
-};
-
-/// \brief RAII releaser for a successfully acquired FifoSemaphore permit.
-class SemaphoreReleaser {
- public:
-  explicit SemaphoreReleaser(FifoSemaphore* sem) : sem_(sem) {}
-  ~SemaphoreReleaser() {
-    if (sem_ != nullptr) sem_->Release();
-  }
-
-  SemaphoreReleaser(const SemaphoreReleaser&) = delete;
-  SemaphoreReleaser& operator=(const SemaphoreReleaser&) = delete;
-
- private:
-  FifoSemaphore* sem_;
 };
 
 }  // namespace util

@@ -2,8 +2,9 @@
 // >= 8 mediator sessions hammer one ServeEngine (mixed repeat queries,
 // equivalent spellings, out-of-distribution drift recorders) while a
 // monitor asserts the process-wide execution-thread cap is never
-// exceeded, and a FineTune races in-flight Answers through the engine's
-// writer lock. Iteration counts scale down under TSan
+// exceeded, more synchronous sessions than slots split between inline
+// and executor-thread runs, and a FineTune races in-flight Answers
+// through the engine's writer lock. Iteration counts scale down under TSan
 // (ASQP_SANITIZE_THREAD) to keep the suite fast despite the sanitizer's
 // slowdown.
 #include <gtest/gtest.h>
@@ -216,6 +217,63 @@ TEST_F(ServeStressTest, OverloadedQueueRejectsInsteadOfCrashing) {
   ServeEngine::Stats stats = engine.stats();
   EXPECT_EQ(stats.rejected, rejected.load());
   EXPECT_EQ(stats.served, ok_count.load());
+}
+
+TEST_F(ServeStressTest, AdmissionSyncSessionsBeyondTheSlotsQueueAndAgree) {
+  // Twice as many synchronous sessions as slots, cache off: every request
+  // is admitted, inline when a slot is free, else queued and run by an
+  // executor thread. Both kinds share the slots and must agree byte for
+  // byte.
+  ServeOptions options;
+  options.max_inflight = 2;
+  options.queue_capacity = 2 * kSessions;  // nobody is rejected
+  options.pool_threads = 2;
+  options.cache_bytes = 0;
+  ServeEngine engine(model_.get(), options);
+
+  std::mutex expected_mu;
+  std::map<size_t, std::vector<std::string>> expected;
+  std::atomic<uint64_t> successes{0};
+  std::vector<std::thread> sessions;
+  sessions.reserve(kSessions);
+  for (size_t s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([s, &engine, &expected_mu, &expected, &successes] {
+      const auto& mix = QueryMix();
+      for (int iter = 0; iter < kPerSessionQueries / 2; ++iter) {
+        const size_t q = (s + static_cast<size_t>(iter)) % mix.size();
+        auto result = engine.AnswerSql(mix[q][0]);
+        if (!result.ok()) {
+          ADD_FAILURE() << "session " << s << ": "
+                        << result.status().ToString();
+          continue;
+        }
+        successes.fetch_add(1, std::memory_order_relaxed);
+        std::vector<std::string> keys;
+        for (size_t r = 0; r < result.value().result.num_rows(); ++r) {
+          keys.push_back(result.value().result.RowKey(r));
+        }
+        std::lock_guard<std::mutex> lock(expected_mu);
+        auto it = expected.find(q);
+        if (it == expected.end()) {
+          expected.emplace(q, std::move(keys));
+        } else {
+          EXPECT_EQ(it->second, keys) << "query " << q << " diverged";
+        }
+      }
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+
+  const uint64_t total = kSessions * (kPerSessionQueries / 2);
+  EXPECT_EQ(successes.load(), total);
+  ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.served, total);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.admitted, total);
+  EXPECT_EQ(stats.batch_members, total);
+  EXPECT_GT(stats.inline_runs, 0u);
+  EXPECT_LE(stats.inline_runs, total);
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST_F(ServeStressTest, FineTuneRacesInFlightAnswers) {

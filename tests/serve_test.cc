@@ -1,17 +1,23 @@
 // Serving-layer tests: AnswerCache unit behavior (LRU, byte budget,
-// generations, collisions) and ServeEngine end-to-end on a trained model
-// (cache hits byte-identical to executions, equivalent spellings share an
-// entry, FineTune invalidates, shared-pool answers identical at every
-// pool size).
+// generations, collisions), BatchScheduler admission (inline solo runs,
+// arrival order), and ServeEngine end-to-end on a trained model (cache
+// hits byte-identical to executions, equivalent spellings share an entry,
+// FineTune invalidates, shared-pool answers identical at every pool size,
+// admission outcomes).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "serve/answer_cache.h"
+#include "serve/batch_scheduler.h"
 #include "serve/serve_engine.h"
 #include "sql/canonicalize.h"
 #include "tests/testing.h"
@@ -144,6 +150,182 @@ TEST(AnswerCacheTest, ClearDropsEverything) {
   AnswerCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
+}
+
+// ---- BatchScheduler admission ----------------------------------------
+
+BatchScheduler::Ticket TaggedTicket(const std::string& tag) {
+  BatchScheduler::Ticket ticket;
+  ticket.group_key = "t";
+  ticket.fingerprint.canonical = tag;
+  return ticket;
+}
+
+/// An ExecuteFn that records which tickets ran, in order, and on which
+/// thread; a ticket tagged `hold` blocks until Release().
+class RecordingExecutor {
+ public:
+  explicit RecordingExecutor(std::string hold = "") : hold_(std::move(hold)) {}
+
+  BatchScheduler::ExecuteFn Fn() {
+    return [this](std::vector<BatchScheduler::Ticket>&& batch) {
+      for (BatchScheduler::Ticket& ticket : batch) {
+        const std::string& tag = ticket.fingerprint.canonical;
+        {
+          std::unique_lock<std::mutex> lock(mu_);
+          order_.push_back(tag);
+          threads_.push_back(std::this_thread::get_id());
+          if (tag == hold_) {
+            holding_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return released_; });
+          }
+        }
+        ticket.promise.Resolve(core::AnswerResult());
+      }
+    };
+  }
+
+  /// Block until the `hold` ticket is executing.
+  void AwaitHolding() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return holding_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  std::vector<std::string> order() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
+  std::vector<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  const std::string hold_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  bool released_ = false;
+  std::vector<std::string> order_;
+  std::vector<std::thread::id> threads_;
+};
+
+BatchScheduler::Options ZeroWindow(size_t slots) {
+  BatchScheduler::Options options;
+  options.window_seconds = 0.0;
+  options.queue_capacity = 8;
+  options.slots = slots;
+  return options;
+}
+
+TEST(BatchSchedulerAdmissionTest, IdleSyncTicketRunsOnTheCallingThread) {
+  RecordingExecutor executor;
+  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  BatchScheduler::Ticket ticket = TaggedTicket("a");
+  AnswerFuture future = ticket.promise.future();
+  ASSERT_TRUE(scheduler.RunInlineOrSubmit(std::move(ticket)));
+  // Inline: resolved before RunInlineOrSubmit returned, on this thread.
+  EXPECT_TRUE(future.Ready());
+  ASSERT_EQ(executor.threads().size(), 1u);
+  EXPECT_EQ(executor.threads()[0], std::this_thread::get_id());
+  const BatchScheduler::Stats stats = scheduler.stats();
+  EXPECT_EQ(stats.inline_runs, 1u);
+  EXPECT_EQ(stats.batches_formed, 1u);
+  EXPECT_EQ(stats.batch_members, 1u);
+}
+
+TEST(BatchSchedulerAdmissionTest, SubmitNeverRunsOnTheCaller) {
+  RecordingExecutor executor("a");
+  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  BatchScheduler::Ticket ticket = TaggedTicket("a");
+  AnswerFuture future = ticket.promise.future();
+  // The ticket's execution blocks until Release(), so Submit returning at
+  // all proves the caller never executes it.
+  ASSERT_TRUE(scheduler.Submit(std::move(ticket)));
+  executor.AwaitHolding();
+  EXPECT_FALSE(future.Ready());
+  executor.Release();
+  EXPECT_TRUE(future.Get().ok());
+  ASSERT_EQ(executor.threads().size(), 1u);
+  EXPECT_NE(executor.threads()[0], std::this_thread::get_id());
+  EXPECT_EQ(scheduler.stats().inline_runs, 0u);
+}
+
+TEST(BatchSchedulerAdmissionTest, BusySlotsQueueSyncTicketsInArrivalOrder) {
+  RecordingExecutor executor("a");
+  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  // "a" takes the only slot inline on its own thread and holds it.
+  std::thread holder([&scheduler] {
+    EXPECT_TRUE(scheduler.RunInlineOrSubmit(TaggedTicket("a")));
+  });
+  executor.AwaitHolding();
+  // Every later synchronous arrival queues behind it, in arrival order.
+  std::vector<AnswerFuture> futures;
+  for (const char* tag : {"b", "c", "d"}) {
+    BatchScheduler::Ticket ticket = TaggedTicket(tag);
+    futures.push_back(ticket.promise.future());
+    ASSERT_TRUE(scheduler.RunInlineOrSubmit(std::move(ticket)));
+  }
+  EXPECT_EQ(scheduler.QueueDepth(), 3u);
+  executor.Release();
+  holder.join();
+  for (AnswerFuture& f : futures) EXPECT_TRUE(f.Get().ok());
+  EXPECT_EQ(executor.order(), (std::vector<std::string>{"a", "b", "c", "d"}));
+  EXPECT_EQ(scheduler.stats().inline_runs, 1u);
+  EXPECT_EQ(scheduler.QueueDepth(), 0u);
+}
+
+TEST(BatchSchedulerAdmissionTest, LateArrivalNeverRunsAheadOfAQueuedTicket) {
+  // The slot an inline run frees is free for a moment before an executor
+  // thread picks up the ticket queued behind it. A late arrival in that
+  // gap must queue, not run inline. The gap is a race, so try it often.
+  for (int round = 0; round < 50; ++round) {
+    RecordingExecutor executor("a");
+    BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+    BatchScheduler::Ticket first = TaggedTicket("a");
+    AnswerFuture first_done = first.promise.future();
+    std::thread holder([&scheduler, &first] {
+      EXPECT_TRUE(scheduler.RunInlineOrSubmit(std::move(first)));
+    });
+    executor.AwaitHolding();
+    ASSERT_TRUE(scheduler.RunInlineOrSubmit(TaggedTicket("b")));  // queued
+    executor.Release();
+    EXPECT_TRUE(first_done.Get().ok());
+    // "a" has resolved: its slot frees any moment now, if not already.
+    BatchScheduler::Ticket late = TaggedTicket("late");
+    AnswerFuture late_done = late.promise.future();
+    ASSERT_TRUE(scheduler.RunInlineOrSubmit(std::move(late)));
+    EXPECT_TRUE(late_done.Get().ok());
+    holder.join();
+    ASSERT_EQ(executor.order(),
+              (std::vector<std::string>{"a", "b", "late"}))
+        << "round " << round;
+  }
+}
+
+TEST(BatchSchedulerAdmissionTest, FullQueueRejectsWithoutResolving) {
+  RecordingExecutor executor("a");
+  BatchScheduler::Options options = ZeroWindow(1);
+  options.queue_capacity = 1;
+  BatchScheduler scheduler(options, executor.Fn());
+  std::thread holder([&scheduler] {
+    EXPECT_TRUE(scheduler.RunInlineOrSubmit(TaggedTicket("a")));
+  });
+  executor.AwaitHolding();
+  ASSERT_TRUE(scheduler.RunInlineOrSubmit(TaggedTicket("b")));  // queued
+  BatchScheduler::Ticket late = TaggedTicket("c");
+  AnswerFuture rejected = late.promise.future();
+  // The caller owns the rejection: the promise stays unresolved.
+  EXPECT_FALSE(scheduler.RunInlineOrSubmit(std::move(late)));
+  EXPECT_FALSE(rejected.Ready());
+  executor.Release();
+  holder.join();
+  EXPECT_EQ(scheduler.stats().rejected, 1u);
 }
 
 // ---- ServeEngine on a trained model -----------------------------------
@@ -389,17 +571,14 @@ TEST_F(ServeEngineTest, FromConfigDerivesKnobs) {
   EXPECT_TRUE(options.shed_to_learned);  // default on
   config.serve_shed_to_learned = false;
   EXPECT_FALSE(ServeOptions::FromConfig(config).shed_to_learned);
-  // Batching/async knobs: off by default, carried through when set.
+  // Batching knobs: zero window by default, carried through when set.
   EXPECT_EQ(options.batch_window_ms, 0.0);
   EXPECT_EQ(options.batch_max_queries, 8u);
-  EXPECT_FALSE(options.async);
   config.serve_batch_window_ms = 2.5;
   config.serve_batch_max_queries = 3;
-  config.serve_async = true;
   ServeOptions batched = ServeOptions::FromConfig(config);
   EXPECT_EQ(batched.batch_window_ms, 2.5);
   EXPECT_EQ(batched.batch_max_queries, 3u);
-  EXPECT_TRUE(batched.async);
 }
 
 // ---- Batched / async serving ------------------------------------------
@@ -517,9 +696,7 @@ TEST_F(ServeEngineTest, DisjointTableQueriesNeverShareABatch) {
 }
 
 TEST_F(ServeEngineTest, CompletionQueueMultiplexesManySessions) {
-  ServeOptions options = SmallServe();
-  options.async = true;  // zero window: immediate per-query batches
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), SmallServe());
   const std::vector<std::string> sqls = {kTitleRecent, kTitleOld,
                                          kPersonQuery, kQuery};
   CompletionQueue queue;
@@ -539,16 +716,14 @@ TEST_F(ServeEngineTest, CompletionQueueMultiplexesManySessions) {
   EXPECT_EQ(queue.pending(), 0u);
 }
 
-TEST_F(ServeEngineTest, SyncAnswerRidesTheBatchedPathWhenSchedulerIsOn) {
+TEST_F(ServeEngineTest, SyncAnswerRidesTheBatchedPath) {
   std::vector<std::string> want;
   {
     ServeEngine plain(model_.get(), SmallServe());
     ASSERT_OK_AND_ASSIGN(core::AnswerResult r, plain.AnswerSql(kTitleRecent));
     want = Keys(r.result);
   }
-  ServeOptions options = SmallServe();
-  options.async = true;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), SmallServe());
   ASSERT_OK_AND_ASSIGN(core::AnswerResult got, engine.AnswerSql(kTitleRecent));
   EXPECT_EQ(Keys(got.result), want);
   ServeEngine::Stats stats = engine.stats();
@@ -559,9 +734,7 @@ TEST_F(ServeEngineTest, SyncAnswerRidesTheBatchedPathWhenSchedulerIsOn) {
 }
 
 TEST_F(ServeEngineTest, AsyncFastPathRejectsDeadRequestsWithoutATicket) {
-  ServeOptions options = SmallServe();
-  options.async = true;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), SmallServe());
   util::ExecContext expired;
   expired.set_deadline(util::Deadline::AfterSeconds(0.0));
   AnswerFuture late = engine.AnswerSqlAsync(kTitleRecent, expired);
@@ -572,6 +745,109 @@ TEST_F(ServeEngineTest, AsyncFastPathRejectsDeadRequestsWithoutATicket) {
   ServeEngine::Stats stats = engine.stats();
   EXPECT_EQ(stats.expired_fast_path, 1u);
   EXPECT_EQ(stats.batch_members, 0u);
+}
+
+// ---- Admission through the scheduler ----------------------------------
+
+const char kLearnedAggregate[] =
+    "SELECT COUNT(*) FROM title t WHERE t.production_year >= 2000";
+
+TEST_F(ServeEngineTest, AdmissionSyncMissWithAFreeSlotRunsInline) {
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult cold, engine.AnswerSql(kQuery));
+  EXPECT_FALSE(cold.from_cache);
+  ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.inline_runs, 1u);
+  EXPECT_EQ(stats.batch_members, 1u);
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  // The hit never reaches the scheduler.
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult warm, engine.AnswerSql(kQuery));
+  EXPECT_TRUE(warm.from_cache);
+  EXPECT_EQ(engine.stats().inline_runs, 1u);
+}
+
+TEST_F(ServeEngineTest, AdmissionAsyncWithZeroWindowNeverRunsOnTheCaller) {
+  ServeEngine engine(model_.get(), SmallServe());
+  std::vector<AnswerFuture> futures;
+  for (const char* sql : {kTitleRecent, kTitleOld, kPersonQuery}) {
+    futures.push_back(engine.AnswerSqlAsync(sql));
+  }
+  for (AnswerFuture& f : futures) {
+    util::Result<core::AnswerResult> r = f.Get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.inline_runs, 0u);
+  EXPECT_EQ(stats.batch_members, futures.size());
+}
+
+TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
+  ASSERT_NE(model_->learned_fallback(), nullptr);
+  ServeOptions options = SmallServe();
+  // A window far longer than the test keeps the first tickets queued
+  // (gathering) until the engine is destroyed, which flushes them.
+  options.batch_window_ms = 60000.0;
+  options.batch_max_queries = 64;
+  options.queue_capacity = 2;
+  std::vector<AnswerFuture> queued;
+  {
+    ServeEngine engine(model_.get(), options);
+    queued.push_back(engine.AnswerSqlAsync(kTitleRecent));
+    queued.push_back(engine.AnswerSqlAsync(kTitleOld));
+    ASSERT_EQ(engine.stats().queue_depth, 2u);
+
+    // A join is outside the learned class: typed back-pressure.
+    util::Result<core::AnswerResult> join = engine.AnswerSql(kQuery);
+    ASSERT_FALSE(join.ok());
+    EXPECT_EQ(join.status().code(), util::StatusCode::kResourceExhausted);
+    AnswerFuture async_join = engine.AnswerSqlAsync(kQuery);
+    ASSERT_TRUE(async_join.Ready());
+    EXPECT_EQ(async_join.Get().status().code(),
+              util::StatusCode::kResourceExhausted);
+
+    // A learned-class aggregate is load-shed to the learned answerer.
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult shed,
+                         engine.AnswerSql(kLearnedAggregate));
+    EXPECT_EQ(shed.tier, core::AnswerTier::kLearned);
+    EXPECT_EQ(shed.fallback_reason, "shed:queue_full");
+    EXPECT_TRUE(shed.fell_back);
+
+    ServeEngine::Stats stats = engine.stats();
+    EXPECT_EQ(stats.rejected, 3u);
+    EXPECT_EQ(stats.shed_learned, 1u);
+    EXPECT_EQ(stats.served, 1u);
+  }
+  for (AnswerFuture& f : queued) {
+    util::Result<core::AnswerResult> r = f.Get();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
+TEST_F(ServeEngineTest, AdmissionExpiryWhileQueuedShedsOrDegrades) {
+  ASSERT_NE(model_->learned_fallback(), nullptr);
+  ServeOptions options = SmallServe();
+  // Tickets wait out a window longer than their deadline, so each one
+  // expires while queued and is noticed when it leaves the queue.
+  options.batch_window_ms = 200.0;
+  ServeEngine engine(model_.get(), options);
+
+  util::ExecContext context;
+  context.set_deadline(util::Deadline::AfterSeconds(0.02));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult shed,
+                       engine.AnswerSql(kLearnedAggregate, context));
+  EXPECT_EQ(shed.tier, core::AnswerTier::kLearned);
+  EXPECT_EQ(shed.fallback_reason, "shed:admission_deadline");
+
+  context.set_deadline(util::Deadline::AfterSeconds(0.02));
+  util::Result<core::AnswerResult> join = engine.AnswerSql(kQuery, context);
+  ASSERT_FALSE(join.ok());
+  EXPECT_EQ(join.status().code(), util::StatusCode::kDegraded);
+
+  ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.admission_expired, 2u);
+  EXPECT_EQ(stats.admitted, 0u);
+  EXPECT_EQ(stats.degraded, 1u);
 }
 
 }  // namespace

@@ -341,100 +341,6 @@ TEST(LatchTest, WaitReleasesAtZero) {
   latch.Wait();  // already released: returns immediately
 }
 
-TEST(FifoSemaphoreTest, TryAcquireRespectsPermits) {
-  FifoSemaphore sem(/*permits=*/2, /*max_waiters=*/4);
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_TRUE(sem.TryAcquire());
-  EXPECT_FALSE(sem.TryAcquire());
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-  sem.Release();
-  sem.Release();
-  EXPECT_EQ(sem.available(), 2u);
-}
-
-TEST(FifoSemaphoreTest, AcquireTimesOutWithDeadline) {
-  FifoSemaphore sem(/*permits=*/1, /*max_waiters=*/4);
-  ASSERT_OK(sem.Acquire());
-  Status st = sem.Acquire(ExecContext::WithDeadline(0.02));
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  // The timed-out waiter unlinked itself; a release hands the permit to
-  // nobody and restores availability.
-  sem.Release();
-  EXPECT_TRUE(sem.TryAcquire());
-  sem.Release();
-}
-
-TEST(FifoSemaphoreTest, AcquireHonorsCancellation) {
-  FifoSemaphore sem(/*permits=*/1, /*max_waiters=*/4);
-  ASSERT_OK(sem.Acquire());
-  ExecContext context;
-  context.EnableCancellation();
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    context.RequestCancel();
-  });
-  Status st = sem.Acquire(context);
-  canceller.join();
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  sem.Release();
-}
-
-TEST(FifoSemaphoreTest, QueueOverflowRejectsImmediately) {
-  FifoSemaphore sem(/*permits=*/1, /*max_waiters=*/0);
-  ASSERT_OK(sem.Acquire());
-  // No queue capacity: the second acquire is rejected, not queued.
-  Status st = sem.Acquire(ExecContext::WithDeadline(10.0));
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  sem.Release();
-}
-
-TEST(FifoSemaphoreTest, WaitersAreServedInFifoOrder) {
-  FifoSemaphore sem(/*permits=*/1, /*max_waiters=*/8);
-  ASSERT_OK(sem.Acquire());
-  std::mutex order_mu;
-  std::vector<int> order;
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 4; ++i) {
-    waiters.emplace_back([&, i] {
-      // Stagger arrivals so the queue order is deterministic.
-      while (sem.waiting() != static_cast<size_t>(i)) {
-        std::this_thread::yield();
-      }
-      ASSERT_OK(sem.Acquire());
-      {
-        std::lock_guard<std::mutex> lock(order_mu);
-        order.push_back(i);
-      }
-      sem.Release();
-    });
-  }
-  // Wait until all four are queued, then start the handoff chain.
-  while (sem.waiting() < 4) std::this_thread::yield();
-  sem.Release();
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(FifoSemaphoreTest, LateArrivalDoesNotOvertakeQueuedWaiter) {
-  FifoSemaphore sem(/*permits=*/1, /*max_waiters=*/4);
-  ASSERT_OK(sem.Acquire());
-  std::atomic<bool> queued_got_it{false};
-  std::thread queued([&] {
-    ASSERT_OK(sem.Acquire());
-    queued_got_it.store(true);
-    sem.Release();
-  });
-  while (sem.waiting() < 1) std::this_thread::yield();
-  // A free permit with a non-empty queue must not be stolen.
-  sem.Release();
-  queued.join();
-  EXPECT_TRUE(queued_got_it.load());
-  EXPECT_FALSE(sem.waiting() > 0);
-  ASSERT_OK(sem.Acquire());
-  sem.Release();
-}
-
 }  // namespace
 }  // namespace util
 }  // namespace asqp
