@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths that the
 // paper's end-to-end numbers rest on: hash join (sequential and
 // morsel-parallel across thread counts), Eq.-1 score evaluation,
-// query/tuple embedding, k-means, and one PPO policy step.
+// query/tuple embedding, k-means, one PPO policy step, and one minibatch
+// PPO update.
 //
 // Pass `--json out.json` (or set ASQP_BENCH_JSON) to also emit the
 // measurements as machine-readable records; CI's bench-smoke job diffs
@@ -14,8 +15,12 @@
 #include "embed/embedder.h"
 #include "metric/score.h"
 #include "nn/mlp.h"
+#include "rl/policy.h"
+#include "rl/rollout.h"
+#include "rl/trainer.h"
 #include "sql/binder.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 using namespace asqp;
 
@@ -316,6 +321,49 @@ void BM_PolicyForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyForwardBackward);
+
+void BM_PpoMinibatchUpdate(benchmark::State& state) {
+  // One 64-sample PPO update at drift-finetune's shapes (actor
+  // 390->128->128->379, critic 390->128->128->1) with both Adam steps; the
+  // kernels split over a pool of state.range(0) threads.
+  constexpr size_t kStateDim = 390;
+  constexpr size_t kActions = 379;
+  constexpr size_t kSamples = 64;
+  rl::Policy policy = rl::Policy::Create(kStateDim, kActions, 128,
+                                         /*with_critic=*/true, 1);
+  nn::Adam actor_opt(policy.actor.get(), {});
+  nn::Adam critic_opt(policy.critic.get(), {});
+  util::Rng rng(5);
+  rl::RolloutBuffer buffer;
+  for (size_t s = 0; s < kSamples; ++s) {
+    std::vector<float> observation(kStateDim);
+    for (float& v : observation) v = rng.UniformDouble() < 0.2 ? 1.0f : 0.0f;
+    std::vector<uint8_t> mask(kActions);
+    for (uint8_t& m : mask) m = rng.UniformDouble() < 0.7 ? 1 : 0;
+    mask[s] = 1;
+    const rl::Policy::ActResult act = policy.Act(observation, mask, &rng);
+    buffer.states.push_back(std::move(observation));
+    buffer.masks.push_back(std::move(mask));
+    buffer.actions.push_back(act.action);
+    buffer.values.push_back(act.value);
+    buffer.log_probs.push_back(act.log_prob);
+    buffer.old_probs.push_back(act.probs);
+    buffer.rewards.push_back(static_cast<float>(rng.UniformDouble()));
+    buffer.dones.push_back(s % 8 == 7 ? 1 : 0);
+  }
+  buffer.ComputeAdvantages(0.995, 0.95);
+  buffer.NormalizeAdvantages();
+  std::vector<size_t> indices(kSamples);
+  for (size_t s = 0; s < kSamples; ++s) indices[s] = s;
+  const rl::TrainerConfig config;
+  util::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rl::UpdateMinibatch(config, &policy, &actor_opt,
+                                                 &critic_opt, buffer, indices,
+                                                 &pool));
+  }
+}
+BENCHMARK(BM_PpoMinibatchUpdate)->Arg(1)->Arg(4)->UseRealTime();
 
 /// Console reporter that additionally captures every per-iteration run as
 /// a BenchRecord (aggregates and errored runs are skipped).

@@ -36,9 +36,11 @@ int main() {
     return 1;
   }
   core::AsqpModel& model = *report->model;
-  std::printf("trained in %.1fs over %zu episodes; |S| = %zu tuples\n",
-              report->setup_seconds, report->episodes,
-              model.approximation_set().TotalTuples());
+  std::printf(
+      "trained in %.1fs (rollouts %.1fs, updates %.1fs) over %zu episodes; "
+      "|S| = %zu tuples\n",
+      report->setup_seconds, report->collect_seconds, report->update_seconds,
+      report->episodes, model.approximation_set().TotalTuples());
 
   // 3. Quality of the approximation set under the paper's metric (Eq. 1).
   metric::ScoreEvaluator evaluator(

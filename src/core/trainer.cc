@@ -48,6 +48,8 @@ util::Result<TrainReport> AsqpTrainer::Train(
   TrainReport report;
   report.iteration_scores = std::move(trained.iteration_scores);
   report.episodes = trained.episodes_run;
+  report.collect_seconds = trained.collect_seconds;
+  report.update_seconds = trained.update_seconds;
   report.model = std::move(model);
   report.setup_seconds = watch.ElapsedSeconds();
   return report;

@@ -18,6 +18,10 @@ struct TrainReport {
   /// Training curve (mean end-of-episode score per iteration).
   std::vector<double> iteration_scores;
   double setup_seconds = 0.0;
+  /// The parts of setup_seconds that rl::Train spent collecting rollouts
+  /// and updating the networks (rl::TrainResult).
+  double collect_seconds = 0.0;
+  double update_seconds = 0.0;
   size_t episodes = 0;
 };
 

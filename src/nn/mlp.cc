@@ -6,9 +6,76 @@
 #include <limits>
 
 #include "util/fault_injector.h"
+#include "util/thread_pool.h"
 
 namespace asqp {
 namespace nn {
+
+namespace {
+
+/// Below this many multiply-adds a kernel runs on the calling thread: a
+/// ParallelFor round trip (waking helpers, the completion latch) costs more
+/// than the work it would split.
+constexpr size_t kMinParallelWork = size_t{1} << 17;
+/// Ranges per participating thread in ForEachRange.
+constexpr size_t kRangesPerThread = 4;
+/// Rough multiply-add equivalents of one activation (tanh) and of one
+/// element of Adam's update (three divisions and a square root).
+constexpr size_t kActivateWork = 64;
+constexpr size_t kAdamWork = 16;
+
+/// Samples per lane block of the forward kernel.
+constexpr size_t kLanes = 16;
+
+/// y[o][s + k] = b[o] + sum_i w[o][i] * x[i][s + k] for k < kLanes, with x
+/// feature-major [in][n] and y [out][n]. Each lane is its own sum, in i
+/// order; the compiler vectorizes across lanes without reordering any one
+/// of them.
+void DotLanes(const Linear& layer, size_t o, const float* x, size_t n,
+              size_t s, float* y) {
+  const float* row = &layer.w[o * layer.in];
+  float acc[kLanes];
+  for (size_t k = 0; k < kLanes; ++k) acc[k] = layer.b[o];
+  for (size_t i = 0; i < layer.in; ++i) {
+    const float w_i = row[i];
+    const float* x_i = x + i * n + s;
+    for (size_t k = 0; k < kLanes; ++k) acc[k] += w_i * x_i[k];
+  }
+  for (size_t k = 0; k < kLanes; ++k) y[o * n + s + k] = acc[k];
+}
+
+/// The same sums for one sample s and kRows rows o, o + 1, ...: for a
+/// single sample the independent rows, not lanes, keep the adders busy.
+template <size_t kRows>
+void DotRows(const Linear& layer, size_t o, const float* x, size_t n,
+             size_t s, float* y) {
+  const float* rows = &layer.w[o * layer.in];
+  float acc[kRows];
+  for (size_t r = 0; r < kRows; ++r) acc[r] = layer.b[o + r];
+  for (size_t i = 0; i < layer.in; ++i) {
+    const float x_i = x[i * n + s];
+    for (size_t r = 0; r < kRows; ++r) {
+      acc[r] += rows[r * layer.in + i] * x_i;
+    }
+  }
+  for (size_t r = 0; r < kRows; ++r) y[(o + r) * n + s] = acc[r];
+}
+
+}  // namespace
+
+void ForEachRange(util::ThreadPool* pool, size_t count, size_t work,
+                  const std::function<void(size_t begin, size_t end)>& fn) {
+  if (count == 0) return;
+  if (pool == nullptr || count == 1 || work < kMinParallelWork) {
+    fn(0, count);
+    return;
+  }
+  const size_t ranges =
+      std::min(count, (pool->num_threads() + 1) * kRangesPerThread);
+  pool->ParallelFor(ranges, [&](size_t r) {
+    fn(count * r / ranges, count * (r + 1) / ranges);
+  });
+}
 
 Linear::Linear(size_t in_dim, size_t out_dim, util::Rng* rng)
     : in(in_dim), out(out_dim) {
@@ -23,43 +90,56 @@ Linear::Linear(size_t in_dim, size_t out_dim, util::Rng* rng)
   }
 }
 
-void Linear::Forward(const std::vector<float>& x, std::vector<float>* y) const {
-  assert(x.size() == in);
-  y->assign(out, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float* row = &w[o * in];
-    float sum = b[o];
-    for (size_t i = 0; i < in; ++i) sum += row[i] * x[i];
-    (*y)[o] = sum;
-  }
-}
-
-void Linear::Backward(const std::vector<float>& x, const std::vector<float>& dy,
-                      std::vector<float>* dx) {
-  assert(x.size() == in && dy.size() == out);
-  dx->assign(in, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float g = dy[o];
-    if (g == 0.0f) continue;
-    float* drow = &dw[o * in];
-    const float* row = &w[o * in];
-    db[o] += g;
-    for (size_t i = 0; i < in; ++i) {
-      drow[i] += g * x[i];
-      (*dx)[i] += g * row[i];
+void Linear::Forward(const float* x, size_t n, float* y,
+                     util::ThreadPool* pool) const {
+  // Samples in blocks of kLanes; the last n % kLanes one at a time, eight
+  // rows together.
+  const size_t lanes_end = n - n % kLanes;
+  ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
+    for (size_t o = begin; o < end; ++o) {
+      for (size_t s = 0; s < lanes_end; s += kLanes) {
+        DotLanes(*this, o, x, n, s, y);
+      }
     }
-  }
+    for (size_t s = lanes_end; s < n; ++s) {
+      size_t o = begin;
+      for (; o + 8 <= end; o += 8) DotRows<8>(*this, o, x, n, s, y);
+      for (; o < end; ++o) DotRows<1>(*this, o, x, n, s, y);
+    }
+  });
 }
 
-void Linear::BackwardInputOnly(const std::vector<float>& dy,
-                               std::vector<float>* dx) const {
-  dx->assign(in, 0.0f);
-  for (size_t o = 0; o < out; ++o) {
-    const float g = dy[o];
-    if (g == 0.0f) continue;
-    const float* row = &w[o * in];
-    for (size_t i = 0; i < in; ++i) (*dx)[i] += g * row[i];
-  }
+void Linear::AccumulateGrad(const float* x, const float* dy, size_t n,
+                            util::ThreadPool* pool) {
+  ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
+    for (size_t o = begin; o < end; ++o) {
+      float* drow = &dw[o * in];
+      for (size_t s = 0; s < n; ++s) {
+        const float g = dy[s * out + o];
+        if (g == 0.0f) continue;
+        db[o] += g;
+        const float* x_s = x + s * in;
+        for (size_t i = 0; i < in; ++i) drow[i] += g * x_s[i];
+      }
+    }
+  });
+}
+
+void Linear::InputGrad(const float* dy, size_t n, float* dx,
+                       util::ThreadPool* pool) const {
+  ForEachRange(pool, n, n * in * out, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      float* dx_s = dx + s * in;
+      std::fill(dx_s, dx_s + in, 0.0f);
+      const float* dy_s = dy + s * out;
+      for (size_t o = 0; o < out; ++o) {
+        const float g = dy_s[o];
+        if (g == 0.0f) continue;
+        const float* row = &w[o * in];
+        for (size_t i = 0; i < in; ++i) dx_s[i] += g * row[i];
+      }
+    }
+  });
 }
 
 void Linear::ZeroGrad() {
@@ -88,32 +168,61 @@ float Activate(float v, Activation a) {
   return v;
 }
 
-float ActivateGrad(float pre, float post, Activation a) {
+/// The activation's derivative from its output alone: tanh' = 1 - y^2, and
+/// relu's pre-activation is positive exactly when its output is.
+float ActivateGrad(float post, Activation a) {
   switch (a) {
     case Activation::kTanh: return 1.0f - post * post;
-    case Activation::kRelu: return pre > 0.0f ? 1.0f : 0.0f;
+    case Activation::kRelu: return post > 0.0f ? 1.0f : 0.0f;
     case Activation::kNone: return 1.0f;
   }
   return 1.0f;
 }
 
+/// dst ([cols][rows]) = the transpose of src ([rows][cols]).
+void Transpose(const float* src, size_t rows, size_t cols, float* dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
+}
+
 }  // namespace
 
-std::vector<float> Mlp::Forward(const std::vector<float>& x,
-                                Cache* cache) const {
-  cache->pre.resize(layers_.size());
-  cache->post.resize(layers_.size() + 1);
-  cache->post[0] = x;
-  std::vector<float> cur = x;
+std::vector<float> Mlp::Forward(const std::vector<float>& x, Cache* cache,
+                                util::ThreadPool* pool) const {
+  const size_t n = x.size() / input_dim();
+  assert(n * input_dim() == x.size());
+  cache->n = n;
+  cache->inputs.resize(layers_.size());
+  cache->inputs[0] = x;
+  // Between layers the minibatch is feature-major; the cache keeps each
+  // layer's input sample-major for Backward.
+  std::vector<float> cur(x.size());
+  Transpose(x.data(), n, input_dim(), cur.data());
+  std::vector<float> next;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].Forward(cur, &cache->pre[l]);
-    cur = cache->pre[l];
-    if (l + 1 < layers_.size()) {  // hidden layer: apply activation
-      for (float& v : cur) v = Activate(v, activation_);
-    }
-    cache->post[l + 1] = cur;
+    const Linear& layer = layers_[l];
+    next.resize(layer.out * n);
+    layer.Forward(cur.data(), n, next.data(), pool);
+    std::swap(cur, next);
+    if (l + 1 == layers_.size()) break;
+    // Hidden layer: activate each row and write it into the cache.
+    std::vector<float>& post = cache->inputs[l + 1];
+    post.resize(cur.size());
+    ForEachRange(pool, layer.out, n * layer.out * kActivateWork,
+                 [&](size_t begin, size_t end) {
+                   for (size_t o = begin; o < end; ++o) {
+                     for (size_t s = 0; s < n; ++s) {
+                       float& v = cur[o * n + s];
+                       v = Activate(v, activation_);
+                       post[s * layer.out + o] = v;
+                     }
+                   }
+                 });
   }
-  return cur;
+  std::vector<float> y(cur.size());
+  Transpose(cur.data(), output_dim(), n, y.data());
+  return y;
 }
 
 std::vector<float> Mlp::Forward(const std::vector<float>& x) const {
@@ -121,35 +230,50 @@ std::vector<float> Mlp::Forward(const std::vector<float>& x) const {
   return Forward(x, &cache);
 }
 
-void Mlp::Backward(const Cache& cache, const std::vector<float>& dout) {
+namespace {
+
+/// Scale the sample-major gradient of a hidden layer's output by the
+/// activation's derivative, read from that output (`post`).
+void ScaleByActivationGrad(const std::vector<float>& post, Activation a,
+                           std::vector<float>* grad) {
+  for (size_t k = 0; k < grad->size(); ++k) {
+    (*grad)[k] *= ActivateGrad(post[k], a);
+  }
+}
+
+}  // namespace
+
+void Mlp::Backward(const Cache& cache, const std::vector<float>& dout,
+                   util::ThreadPool* pool) {
+  const size_t n = cache.n;
+  assert(dout.size() == n * output_dim());
   std::vector<float> grad = dout;
+  std::vector<float> dx;
   for (size_t l = layers_.size(); l-- > 0;) {
     if (l + 1 < layers_.size()) {
-      // Undo the activation applied after layer l.
-      for (size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= ActivateGrad(cache.pre[l][i], cache.post[l + 1][i],
-                                activation_);
-      }
+      ScaleByActivationGrad(cache.inputs[l + 1], activation_, &grad);
     }
-    std::vector<float> dx;
-    layers_[l].Backward(cache.post[l], grad, &dx);
-    grad = std::move(dx);
+    layers_[l].AccumulateGrad(cache.inputs[l].data(), grad.data(), n, pool);
+    if (l == 0) break;
+    dx.resize(n * layers_[l].in);
+    layers_[l].InputGrad(grad.data(), n, dx.data(), pool);
+    std::swap(grad, dx);
   }
 }
 
 std::vector<float> Mlp::BackwardInput(const Cache& cache,
                                       const std::vector<float>& dout) const {
+  const size_t n = cache.n;
+  assert(dout.size() == n * output_dim());
   std::vector<float> grad = dout;
+  std::vector<float> dx;
   for (size_t l = layers_.size(); l-- > 0;) {
     if (l + 1 < layers_.size()) {
-      for (size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= ActivateGrad(cache.pre[l][i], cache.post[l + 1][i],
-                                activation_);
-      }
+      ScaleByActivationGrad(cache.inputs[l + 1], activation_, &grad);
     }
-    std::vector<float> dx;
-    layers_[l].BackwardInputOnly(grad, &dx);
-    grad = std::move(dx);
+    dx.resize(n * layers_[l].in);
+    layers_[l].InputGrad(grad.data(), n, dx.data(), /*pool=*/nullptr);
+    std::swap(grad, dx);
   }
   return grad;
 }
@@ -230,7 +354,7 @@ Adam::Adam(Mlp* net, Options options) : net_(net), options_(options) {
   v_.assign(n, 0.0f);
 }
 
-void Adam::Step() {
+void Adam::Step(util::ThreadPool* pool) {
   ++t_;
   std::vector<float*> params = net_->Parameters();
   std::vector<float*> grads = net_->Gradients();
@@ -258,19 +382,27 @@ void Adam::Step() {
   const double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
   size_t offset = 0;
   for (size_t blk = 0; blk < grads.size(); ++blk) {
-    for (size_t i = 0; i < lengths[blk]; ++i) {
-      const float g = grads[blk][i] * scale;
-      float& m = m_[offset + i];
-      float& v = v_[offset + i];
-      m = static_cast<float>(options_.beta1 * m + (1.0 - options_.beta1) * g);
-      v = static_cast<float>(options_.beta2 * v +
-                             (1.0 - options_.beta2) * g * g);
-      const double mhat = m / bc1;
-      const double vhat = v / bc2;
-      params[blk][i] -= static_cast<float>(options_.lr * mhat /
-                                           (std::sqrt(vhat) + options_.eps));
-      grads[blk][i] = 0.0f;
-    }
+    float* param = params[blk];
+    float* grad = grads[blk];
+    float* m_blk = &m_[offset];
+    float* v_blk = &v_[offset];
+    const auto update = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const float g = grad[i] * scale;
+        float& m = m_blk[i];
+        float& v = v_blk[i];
+        m = static_cast<float>(options_.beta1 * m +
+                               (1.0 - options_.beta1) * g);
+        v = static_cast<float>(options_.beta2 * v +
+                               (1.0 - options_.beta2) * g * g);
+        const double mhat = m / bc1;
+        const double vhat = v / bc2;
+        param[i] -= static_cast<float>(options_.lr * mhat /
+                                       (std::sqrt(vhat) + options_.eps));
+        grad[i] = 0.0f;
+      }
+    };
+    ForEachRange(pool, lengths[blk], lengths[blk] * kAdamWork, update);
     offset += lengths[blk];
   }
 }
@@ -294,10 +426,16 @@ std::vector<float> MaskedSoftmax(const std::vector<float>& logits,
   return probs;
 }
 
-float Entropy(const std::vector<float>& probs) {
+float EntropyAndLogs(const std::vector<float>& probs,
+                     std::vector<float>* log_probs) {
+  log_probs->assign(probs.size(), 0.0f);
   float h = 0.0f;
-  for (float p : probs) {
-    if (p > 1e-12f) h -= p * std::log(p);
+  for (size_t i = 0; i < probs.size(); ++i) {
+    const float p = probs[i];
+    if (p > 1e-12f) {
+      (*log_probs)[i] = std::log(p);
+      h -= p * (*log_probs)[i];
+    }
   }
   return h;
 }

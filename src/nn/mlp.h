@@ -8,12 +8,39 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/random.h"
 
 namespace asqp {
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace nn {
+
+// Minibatch kernels. A minibatch of n vectors of dimension d is held either
+// feature-major ([d][n]: element (i, s) at i * n + s) or sample-major
+// ([n][d]: at s * d + i). Every float sum runs in the order that n
+// one-sample passes would take, so a minibatch produces the same bits as
+// those passes:
+//   - forward: y[o] starts at b[o] and adds w[o][i] * x[i] for i = 0, 1, ...;
+//   - dw, db: samples add in minibatch order, and a sample whose upstream
+//     gradient g is 0 (or -0) adds nothing;
+//   - input gradient: dx[i] starts at 0 and adds g[o] * w[o][i] for
+//     o = 0, 1, ..., with the same g == 0 skip.
+// Work splits over an optional pool by output element (a row of y or dw,
+// one sample's dx), each written by one thread, so results do not depend on
+// the pool's size. The build adds no -ffast-math or -march: reassociation
+// or FMA contraction would change the bits.
+
+/// Run fn(begin, end) over disjoint ranges covering [0, count). Runs on the
+/// calling thread when `pool` is null or `work` (multiply-adds, roughly) is
+/// below a fixed threshold; otherwise splits into several ranges per thread,
+/// so that helpers that wake late still find work.
+void ForEachRange(util::ThreadPool* pool, size_t count, size_t work,
+                  const std::function<void(size_t begin, size_t end)>& fn);
 
 /// \brief One dense layer y = W x + b with gradient accumulators.
 struct Linear {
@@ -26,15 +53,20 @@ struct Linear {
 
   Linear(size_t in_dim, size_t out_dim, util::Rng* rng);
 
-  void Forward(const std::vector<float>& x, std::vector<float>* y) const;
+  /// y = W x + b for n samples; x is feature-major [in][n], y feature-major
+  /// [out][n].
+  void Forward(const float* x, size_t n, float* y,
+               util::ThreadPool* pool) const;
 
-  /// Given dL/dy, accumulate dW/db and compute dL/dx.
-  void Backward(const std::vector<float>& x, const std::vector<float>& dy,
-                std::vector<float>* dx);
+  /// Accumulate dW and db from n samples' inputs x (sample-major [n][in])
+  /// and upstream gradients dy (sample-major [n][out]).
+  void AccumulateGrad(const float* x, const float* dy, size_t n,
+                      util::ThreadPool* pool);
 
-  /// dL/dx only (dx = W^T dy); parameter gradients untouched.
-  void BackwardInputOnly(const std::vector<float>& dy,
-                         std::vector<float>* dx) const;
+  /// dx = W^T dy for n samples; dy is sample-major [n][out], dx
+  /// sample-major [n][in]. Parameter gradients are untouched.
+  void InputGrad(const float* dy, size_t n, float* dx,
+                 util::ThreadPool* pool) const;
 
   void ZeroGrad();
 };
@@ -42,7 +74,9 @@ struct Linear {
 enum class Activation { kTanh, kRelu, kNone };
 
 /// \brief Multi-layer perceptron with a shared hidden activation and a
-/// linear output layer.
+/// linear output layer. Every pass takes a minibatch of n samples stored
+/// sample-major (n = x.size() / input_dim()); a single sample is a batch of
+/// one.
 class Mlp {
  public:
   /// dims = {input, hidden..., output}.
@@ -61,23 +95,31 @@ class Mlp {
   }
   Activation activation() const { return activation_; }
 
-  /// Forward pass; `cache` stores activations needed by Backward.
+  /// What Backward needs from a forward pass.
   struct Cache {
-    std::vector<std::vector<float>> pre;   // pre-activation per layer
-    std::vector<std::vector<float>> post;  // post-activation (post[0] = input)
+    size_t n = 0;
+    /// inputs[l] is layer l's input, sample-major [n][dims[l]]; inputs[0]
+    /// is the minibatch itself, and each later one a post-activation.
+    std::vector<std::vector<float>> inputs;
   };
-  std::vector<float> Forward(const std::vector<float>& x, Cache* cache) const;
+
+  /// Forward pass over the minibatch x; returns the outputs, sample-major
+  /// [n][output_dim].
+  std::vector<float> Forward(const std::vector<float>& x, Cache* cache,
+                             util::ThreadPool* pool = nullptr) const;
 
   /// Inference-only forward (no cache).
   std::vector<float> Forward(const std::vector<float>& x) const;
 
-  /// Backprop dL/d(output) through the cached forward pass, accumulating
-  /// parameter gradients.
-  void Backward(const Cache& cache, const std::vector<float>& dout);
+  /// Backprop dL/d(output) (sample-major [n][output_dim]) through the cached
+  /// pass, accumulating parameter gradients. Layer 0's input gradient, which
+  /// nothing reads, is not computed.
+  void Backward(const Cache& cache, const std::vector<float>& dout,
+                util::ThreadPool* pool = nullptr);
 
-  /// dL/d(input) for a cached forward pass, *without* accumulating
-  /// parameter gradients (used when a downstream network's loss must flow
-  /// into an upstream network, e.g. VAE decoder -> encoder).
+  /// dL/d(input), sample-major, for a cached forward pass, *without*
+  /// accumulating parameter gradients (used when a downstream network's
+  /// loss must flow into an upstream network, e.g. VAE decoder -> encoder).
   std::vector<float> BackwardInput(const Cache& cache,
                                    const std::vector<float>& dout) const;
 
@@ -123,7 +165,9 @@ class Adam {
   double lr() const { return options_.lr; }
 
   /// Apply one update from the net's accumulated gradients, then zero them.
-  void Step();
+  /// The global-norm sum runs sequentially; the element-wise update splits
+  /// over `pool` when one is given.
+  void Step(util::ThreadPool* pool = nullptr);
 
   /// First/second-moment accumulators plus the step counter — everything
   /// beyond Options needed to resume optimization deterministically.
@@ -158,8 +202,11 @@ class Adam {
 std::vector<float> MaskedSoftmax(const std::vector<float>& logits,
                                  const std::vector<uint8_t>& mask);
 
-/// Entropy of a probability vector (natural log).
-float Entropy(const std::vector<float>& probs);
+/// Entropy of a probability vector (natural log). Also returns log(p) for
+/// every entry above 1e-12 (0 elsewhere), so that a caller needing both
+/// computes each log once.
+float EntropyAndLogs(const std::vector<float>& probs,
+                     std::vector<float>* log_probs);
 
 /// Sample an index from a probability vector.
 size_t SampleCategorical(const std::vector<float>& probs, util::Rng* rng);

@@ -7,6 +7,7 @@
 #include "io/io.h"
 #include "nn/mlp.h"
 #include "rl/rollout.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -23,6 +24,10 @@ const char* AlgorithmName(Algorithm a) {
 }
 
 namespace {
+
+/// Rough multiply-add equivalents, per action, of one sample's softmax,
+/// logs and dL/dlogits (for nn::ForEachRange's serial threshold).
+constexpr size_t kLossWork = 16;
 
 /// Collect one episode into `buffer` using `policy` (sampling).
 /// Returns the episode's final full score.
@@ -75,95 +80,122 @@ double CollectEpisode(Env* env, const Policy& policy, size_t episode_index,
   return env->FullScore();
 }
 
-/// One gradient step over a minibatch of transitions.
-struct UpdateStats {
-  double policy_loss = 0.0;
-  double value_loss = 0.0;
-  double entropy = 0.0;
-};
+}  // namespace
 
 UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
                             nn::Adam* actor_opt, nn::Adam* critic_opt,
                             const RolloutBuffer& buffer,
-                            const std::vector<size_t>& indices) {
+                            const std::vector<size_t>& indices,
+                            util::ThreadPool* pool) {
   UpdateStats stats;
   const bool use_clip = config.algorithm == Algorithm::kPpo;
   const bool use_critic = config.algorithm != Algorithm::kReinforce;
-  const float inv_n = 1.0f / static_cast<float>(indices.size());
+  const size_t n = indices.size();
+  const float inv_n = 1.0f / static_cast<float>(n);
+  const size_t state_dim = policy->actor->input_dim();
+  const size_t num_actions = policy->actor->output_dim();
 
-  for (size_t idx : indices) {
-    const std::vector<float>& state = buffer.states[idx];
-    const std::vector<uint8_t>& mask = buffer.masks[idx];
-    const size_t action = buffer.actions[idx];
-    const float advantage = buffer.advantages[idx];
-    const float old_log_prob = buffer.log_probs[idx];
-
-    // Actor forward.
-    nn::Mlp::Cache actor_cache;
-    const std::vector<float> logits =
-        policy->actor->Forward(state, &actor_cache);
-    const std::vector<float> probs = nn::MaskedSoftmax(logits, mask);
-    const float p_a = std::max(probs[action], 1e-12f);
-    const float log_prob = std::log(p_a);
-    const float entropy = nn::Entropy(probs);
-    stats.entropy += entropy * inv_n;
-
-    // Policy-gradient coefficient g: dL/dlogp(a).
-    float g = 0.0f;
-    if (use_clip) {
-      const float ratio = std::exp(log_prob - old_log_prob);
-      const float lo = 1.0f - static_cast<float>(config.clip_eps);
-      const float hi = 1.0f + static_cast<float>(config.clip_eps);
-      const float unclipped = ratio * advantage;
-      const float clipped = std::clamp(ratio, lo, hi) * advantage;
-      // d(-min)/dlogp: zero when the clipped branch is active & binding.
-      if (unclipped <= clipped) {
-        g = -unclipped;  // d(ratio*A)/dlogp = ratio*A
-      } else if (ratio >= lo && ratio <= hi) {
-        g = -ratio * advantage;
-      } else {
-        g = 0.0f;
-      }
-      stats.policy_loss += -std::min(unclipped, clipped) * inv_n;
-    } else {
-      g = -advantage;  // vanilla policy gradient
-      stats.policy_loss += -log_prob * advantage * inv_n;
-    }
-
-    // dL/dlogit_i = g * (delta_ia - p_i)
-    //             - entropy_coef * dH/dlogit_i
-    //             + kl_coef * (p_i - p_old_i)        (PPO only).
-    std::vector<float> dlogits(logits.size(), 0.0f);
-    for (size_t i = 0; i < dlogits.size(); ++i) {
-      if (!mask[i]) continue;
-      const float p_i = probs[i];
-      float d = g * ((i == action ? 1.0f : 0.0f) - p_i);
-      if (config.entropy_coef > 0.0 && p_i > 1e-12f) {
-        // dH/dz_i = -p_i (log p_i + H); loss has -entropy_coef * H.
-        d += static_cast<float>(config.entropy_coef) * p_i *
-             (std::log(p_i) + entropy);
-      }
-      if (use_clip && config.kl_coef > 0.0) {
-        d += static_cast<float>(config.kl_coef) *
-             (p_i - buffer.old_probs[idx][i]);
-      }
-      dlogits[i] = d * inv_n;
-    }
-    policy->actor->Backward(actor_cache, dlogits);
-
-    // Critic update toward the empirical return.
-    if (use_critic) {
-      nn::Mlp::Cache critic_cache;
-      const float v = policy->critic->Forward(state, &critic_cache)[0];
-      const float err = v - buffer.returns[idx];
-      stats.value_loss += 0.5f * err * err * inv_n;
-      policy->critic->Backward(critic_cache, {err * inv_n});
-    }
+  std::vector<float> states(n * state_dim);
+  for (size_t s = 0; s < n; ++s) {
+    const std::vector<float>& state = buffer.states[indices[s]];
+    std::copy(state.begin(), state.end(), states.begin() + s * state_dim);
   }
-  actor_opt->Step();
-  if (use_critic && critic_opt != nullptr) critic_opt->Step();
+
+  // Actor forward, then each sample's loss terms and dL/dlogits. A sample
+  // has one owner thread; its loss terms are summed below in sample order.
+  nn::Mlp::Cache actor_cache;
+  const std::vector<float> logits =
+      policy->actor->Forward(states, &actor_cache, pool);
+  std::vector<float> dlogits(n * num_actions, 0.0f);
+  std::vector<float> policy_terms(n);
+  std::vector<float> entropy_terms(n);
+  const auto loss_step = [&](size_t begin, size_t end) {
+    std::vector<float> log_probs;
+    for (size_t s = begin; s < end; ++s) {
+      const size_t idx = indices[s];
+      const std::vector<uint8_t>& mask = buffer.masks[idx];
+      const size_t action = buffer.actions[idx];
+      const float advantage = buffer.advantages[idx];
+      const float old_log_prob = buffer.log_probs[idx];
+
+      const std::vector<float> probs = nn::MaskedSoftmax(
+          std::vector<float>(logits.begin() + s * num_actions,
+                             logits.begin() + (s + 1) * num_actions),
+          mask);
+      const float p_a = std::max(probs[action], 1e-12f);
+      const float log_prob = std::log(p_a);
+      const float entropy = nn::EntropyAndLogs(probs, &log_probs);
+      entropy_terms[s] = entropy * inv_n;
+
+      // Policy-gradient coefficient g: dL/dlogp(a).
+      float g = 0.0f;
+      if (use_clip) {
+        const float ratio = std::exp(log_prob - old_log_prob);
+        const float lo = 1.0f - static_cast<float>(config.clip_eps);
+        const float hi = 1.0f + static_cast<float>(config.clip_eps);
+        const float unclipped = ratio * advantage;
+        const float clipped = std::clamp(ratio, lo, hi) * advantage;
+        // d(-min)/dlogp: zero when the clipped branch is active & binding.
+        if (unclipped <= clipped) {
+          g = -unclipped;  // d(ratio*A)/dlogp = ratio*A
+        } else if (ratio >= lo && ratio <= hi) {
+          g = -ratio * advantage;
+        } else {
+          g = 0.0f;
+        }
+        policy_terms[s] = -std::min(unclipped, clipped) * inv_n;
+      } else {
+        g = -advantage;  // vanilla policy gradient
+        policy_terms[s] = -log_prob * advantage * inv_n;
+      }
+
+      // dL/dlogit_i = g * (delta_ia - p_i)
+      //             - entropy_coef * dH/dlogit_i
+      //             + kl_coef * (p_i - p_old_i)        (PPO only).
+      float* dlogits_s = &dlogits[s * num_actions];
+      for (size_t i = 0; i < num_actions; ++i) {
+        if (!mask[i]) continue;
+        const float p_i = probs[i];
+        float d = g * ((i == action ? 1.0f : 0.0f) - p_i);
+        if (config.entropy_coef > 0.0 && p_i > 1e-12f) {
+          // dH/dz_i = -p_i (log p_i + H); loss has -entropy_coef * H.
+          d += static_cast<float>(config.entropy_coef) * p_i *
+               (log_probs[i] + entropy);
+        }
+        if (use_clip && config.kl_coef > 0.0) {
+          d += static_cast<float>(config.kl_coef) *
+               (p_i - buffer.old_probs[idx][i]);
+        }
+        dlogits_s[i] = d * inv_n;
+      }
+    }
+  };
+  nn::ForEachRange(pool, n, n * num_actions * kLossWork, loss_step);
+  for (size_t s = 0; s < n; ++s) {
+    stats.policy_loss += policy_terms[s];
+    stats.entropy += entropy_terms[s];
+  }
+  policy->actor->Backward(actor_cache, dlogits, pool);
+
+  // Critic update toward the empirical return.
+  if (use_critic) {
+    nn::Mlp::Cache critic_cache;
+    const std::vector<float> values =
+        policy->critic->Forward(states, &critic_cache, pool);
+    std::vector<float> dvalues(n);
+    for (size_t s = 0; s < n; ++s) {
+      const float err = values[s] - buffer.returns[indices[s]];
+      stats.value_loss += 0.5f * err * err * inv_n;
+      dvalues[s] = err * inv_n;
+    }
+    policy->critic->Backward(critic_cache, dvalues, pool);
+  }
+  actor_opt->Step(pool);
+  if (use_critic && critic_opt != nullptr) critic_opt->Step(pool);
   return stats;
 }
+
+namespace {
 
 /// True when the policy's weights or the aggregated update statistics
 /// contain NaN/Inf — the signal that this iteration's update diverged.
@@ -293,6 +325,9 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
   if (probe->action_count() == 0) {
     return util::Status::InvalidArgument("environment has no actions");
   }
+  if (config.minibatch_size == 0) {
+    return util::Status::InvalidArgument("minibatch_size must be positive");
+  }
 
   TrainResult result;
   result.policy = Policy::Create(
@@ -343,6 +378,7 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
   size_t iter = loop.next_iteration;
   while (iter < config.iterations) {
     // --- Collection phase: workers roll out snapshots of the policy.
+    util::Stopwatch phase;
     const Policy snapshot = result.policy.Clone();
     std::vector<RolloutBuffer> worker_buffers(num_workers);
     std::vector<double> worker_scores(num_workers, 0.0);
@@ -380,6 +416,8 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
           "rollout collection produced no transitions");
     }
     iter_score /= static_cast<double>(std::max<size_t>(1, iter_episodes));
+    result.collect_seconds += phase.ElapsedSeconds();
+    phase.Restart();
 
     // --- Advantage estimation.
     if (config.algorithm == Algorithm::kReinforce) {
@@ -405,12 +443,13 @@ util::Result<TrainResult> Train(const EnvFactory& factory,
                                       order.begin() + end);
         const UpdateStats stats =
             UpdateMinibatch(config, &result.policy, &actor_opt,
-                            critic_opt.get(), buffer, minibatch);
+                            critic_opt.get(), buffer, minibatch, &pool);
         iter_stats.policy_loss += stats.policy_loss;
         iter_stats.value_loss += stats.value_loss;
         iter_stats.entropy += stats.entropy;
       }
     }
+    result.update_seconds += phase.ElapsedSeconds();
 
     // --- Divergence guard: a non-finite loss, score, or weight means this
     // iteration produced garbage. Roll back to the last good snapshot,

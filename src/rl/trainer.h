@@ -12,9 +12,14 @@
 
 #include "rl/env.h"
 #include "rl/policy.h"
+#include "rl/rollout.h"
 #include "util/status.h"
 
 namespace asqp {
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace rl {
 
 enum class Algorithm {
@@ -110,7 +115,30 @@ struct TrainResult {
   double final_learning_rate = 0.0;
   /// True when training continued from an on-disk checkpoint.
   bool resumed = false;
+  /// Wall time of this call spent collecting rollouts, and spent on
+  /// advantage estimation plus the minibatch updates. Rolled-back
+  /// iterations count too.
+  double collect_seconds = 0.0;
+  double update_seconds = 0.0;
 };
+
+/// Loss statistics of one minibatch update.
+struct UpdateStats {
+  double policy_loss = 0.0;
+  double value_loss = 0.0;
+  double entropy = 0.0;
+};
+
+/// One gradient step over the transitions `indices` of `buffer`, whose
+/// advantages and returns are filled in: minibatch forward and backward
+/// passes through the actor (and the critic, unless REINFORCE), then the
+/// Adam steps. The nn kernels split over `pool` when it is non-null; the
+/// updated weights do not depend on its size.
+UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
+                            nn::Adam* actor_opt, nn::Adam* critic_opt,
+                            const RolloutBuffer& buffer,
+                            const std::vector<size_t>& indices,
+                            util::ThreadPool* pool);
 
 /// Train a policy over environments produced by `factory`. All
 /// environments must share action_count / state_dim.

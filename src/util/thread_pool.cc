@@ -54,42 +54,38 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // All iteration state is per-call so overlapping ParallelFor calls on a
   // shared pool stay independent: each call has its own work-stealing
   // counter, its own completion latch, and its own first-exception slot.
-  // The state is heap-shared with the helper tasks (a helper may still be
-  // between CountDown and task-return when the caller unwinds).
+  // The state is heap-shared with the helper tasks, which may start after
+  // the caller has returned.
   struct ForState {
     std::atomic<size_t> next{0};
     std::mutex error_mu;
     std::exception_ptr first_error;
     Latch done;
-    explicit ForState(size_t helpers) : done(helpers) {}
+    explicit ForState(size_t n) : done(n) {}
   };
   // The caller is one participant, so at most n - 1 helpers are useful.
   const size_t helpers = std::min(n - 1, workers_.size());
-  auto state = std::make_shared<ForState>(helpers);
-  // A participant that throws stops claiming indices; the remaining
-  // indices are still claimed by the other participants, so the latch
-  // always releases. First exception wins across caller and helpers.
+  // The latch counts indices, not participants, so the caller never waits
+  // for a helper that wakes late. Every claimed index counts down, also
+  // when `fn` throws, so the latch always releases; a late helper's claim
+  // fails and it touches only `state`, never `fn`. First exception wins
+  // across caller and helpers.
+  auto state = std::make_shared<ForState>(n);
   auto drain = [state, &fn, n] {
-    try {
-      for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-           i < n; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
+    for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
+         i < n; i = state->next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
         fn(i);
+      } catch (...) {
+        std::unique_lock<std::mutex> lock(state->error_mu);
+        if (state->first_error == nullptr) {
+          state->first_error = std::current_exception();
+        }
       }
-    } catch (...) {
-      std::unique_lock<std::mutex> lock(state->error_mu);
-      if (state->first_error == nullptr) {
-        state->first_error = std::current_exception();
-      }
+      state->done.CountDown();
     }
   };
-  for (size_t w = 0; w < helpers; ++w) {
-    // Helpers capture `fn` by reference: the latch wait below keeps the
-    // caller's frame alive until every helper's drain has returned.
-    Submit([state, drain] {
-      drain();
-      state->done.CountDown();
-    });
-  }
+  for (size_t w = 0; w < helpers; ++w) Submit(drain);
   drain();
   state->done.Wait();
   if (state->first_error != nullptr) {

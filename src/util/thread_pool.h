@@ -55,15 +55,17 @@ class ThreadPool {
 
   /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
   /// The calling thread participates in the work, so `ParallelFor` makes
-  /// progress even on a saturated pool. Edge cases are well-defined:
+  /// progress even on a saturated pool. It returns once every index has
+  /// run, without waiting for helpers that wake after the work is gone:
+  /// such a helper finds no index left and never calls `fn`. Edge cases
+  /// are well-defined:
   ///   - n == 0 returns immediately (no locking, no stale-exception check);
   ///   - n < num_threads() enqueues only n helper tasks;
   ///   - an exception from `fn` on the calling thread or a worker is
   ///     captured first-exception-wins into *per-call* state and rethrown
-  ///     (exactly once) after every index has been claimed and every
-  ///     running `fn` has returned — the shared iteration state never
-  ///     outlives the call, and a pending Submit() exception is never
-  ///     consumed (ParallelFor is not a WaitIdle join point).
+  ///     (exactly once) after every index has run — no `fn` is still
+  ///     running when the call returns, and a pending Submit() exception
+  ///     is never consumed (ParallelFor is not a WaitIdle join point).
   /// Safe to call concurrently from many threads on one shared pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "rl/action_space.h"
 #include "rl/env.h"
@@ -295,6 +296,8 @@ TEST_P(TrainAlgoTest, LearnsToySpaceBetterThanRandom) {
   ASSERT_OK_AND_ASSIGN(TrainResult result, Train(factory, config));
   EXPECT_EQ(result.iterations_run, 40u);
   EXPECT_GT(result.episodes_run, 0u);
+  EXPECT_GT(result.collect_seconds, 0.0);
+  EXPECT_GT(result.update_seconds, 0.0);
 
   GslEnv eval_env(&space, 0);
   RunPolicy(&eval_env, result.policy, /*seed=*/99, /*greedy=*/true);
@@ -333,7 +336,7 @@ TEST(TrainTest, DeterministicForSeed) {
   TrainerConfig config;
   config.iterations = 3;
   config.episodes_per_iteration = 2;
-  config.num_workers = 1;  // determinism requires serialized collection
+  config.num_workers = 1;
   config.hidden_dim = 16;
   config.seed = 42;
   EnvFactory factory = [&space] {
@@ -345,6 +348,78 @@ TEST(TrainTest, DeterministicForSeed) {
   for (size_t i = 0; i < a.iteration_scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.iteration_scores[i], b.iteration_scores[i]);
   }
+}
+
+/// FNV-1a (64-bit) over the bit patterns of every actor and critic weight
+/// and bias, in parameter-block order.
+uint64_t WeightHash(const Policy& policy) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (nn::Mlp* net : {policy.actor.get(), policy.critic.get()}) {
+    if (net == nullptr) continue;
+    const std::vector<float*> blocks = net->Parameters();
+    const std::vector<size_t> lengths = net->BlockLengths();
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const auto* bytes = reinterpret_cast<const unsigned char*>(blocks[b]);
+      for (size_t i = 0; i < lengths[b] * sizeof(float); ++i) {
+        hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+struct GoldenWeights {
+  Algorithm algorithm;
+  uint64_t hash;
+};
+
+class GoldenWeightsTest : public ::testing::TestWithParam<GoldenWeights> {};
+
+/// The trained weights, pinned bit for bit. The hashes were recorded with
+/// the one-sample-at-a-time update that the minibatch kernels replaced,
+/// built by GCC 12.2 for x86-64 against glibc (whose tanh/exp/log results
+/// they include). A float sum taken in another order, or an FMA
+/// contraction, moves them; so would another libm or compiler.
+TEST_P(GoldenWeightsTest, TrainedWeightsMatchRecordedHash) {
+  ActionSpace space = MakeToySpace(24);
+  TrainerConfig config;
+  config.algorithm = GetParam().algorithm;
+  config.iterations = 4;
+  config.episodes_per_iteration = 12;
+  config.num_workers = 2;
+  config.minibatch_size = 32;
+  config.learning_rate = 3e-3;
+  config.hidden_dim = 128;
+  config.seed = 23;
+  EnvFactory factory = [&space] {
+    return std::make_unique<GslEnv>(&space, 0);
+  };
+  ASSERT_OK_AND_ASSIGN(TrainResult result, Train(factory, config));
+  EXPECT_EQ(result.divergence_rollbacks, 0u);
+  EXPECT_EQ(WeightHash(result.policy), GetParam().hash)
+      << std::hex << "got 0x" << WeightHash(result.policy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, GoldenWeightsTest,
+    ::testing::Values(GoldenWeights{Algorithm::kPpo, 0xcd7f4f341397f7baULL},
+                      GoldenWeights{Algorithm::kA2c, 0xa60d9c3c6fe799cfULL},
+                      GoldenWeights{Algorithm::kReinforce,
+                                    0x2382dadceaa463e4ULL}),
+    [](const ::testing::TestParamInfo<GoldenWeights>& info) {
+      return std::string(AlgorithmName(info.param.algorithm));
+    });
+
+TEST(TrainTest, RejectsZeroMinibatchSize) {
+  ActionSpace space = MakeToySpace(6);
+  TrainerConfig config;
+  config.minibatch_size = 0;
+  EnvFactory factory = [&space] {
+    return std::make_unique<GslEnv>(&space, 0);
+  };
+  const util::Result<TrainResult> result = Train(factory, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(TrainTest, RejectsEmptyActionSpace) {

@@ -263,6 +263,20 @@ TEST(ThreadPoolTest, ParallelForRethrowsWorkerException) {
   EXPECT_EQ(hits.load(), 5);
 }
 
+TEST(ThreadPoolTest, ParallelForFinishesWhileEveryWorkerIsBusy) {
+  // Both workers block until released, so ParallelFor's helper tasks queue
+  // behind them. The caller claims every index itself and returns without
+  // waiting for those helpers to start.
+  ThreadPool pool(2);
+  Latch release(1);
+  for (int w = 0; w < 2; ++w) pool.Submit([&release] { release.Wait(); });
+  std::vector<int> hits(8, 0);
+  pool.ParallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+  release.CountDown();
+  pool.WaitIdle();
+}
+
 TEST(ExecContextTest, UnlimitedByDefault) {
   ExecContext context;
   EXPECT_TRUE(context.IsUnlimited());
