@@ -149,15 +149,12 @@ struct AsqpConfig {
   /// queries from the learned fallback instead of erroring (load
   /// shedding). Unsupported queries keep the typed admission error.
   bool serve_shed_to_learned = true;
-  /// Gather window for batched multi-query execution (milliseconds): an
-  /// admitted query waits up to this long for peers touching the same
-  /// table set before its batch executes as one shared scan pass per
-  /// table. 0 forms a batch per query the moment it is admitted (a
-  /// synchronous query then runs on its caller's thread when a slot is
-  /// free). Results are byte-identical either way.
-  double serve_batch_window_ms = 0.0;
-  /// Upper bound on queries grouped into one batch; a group that fills up
-  /// executes immediately without waiting out the gather window.
+  /// Upper bound on queries in one shared-scan batch. When an execution
+  /// slot frees, the oldest queued query and its queued peers over the
+  /// same table set, up to this many, execute as one batch with one scan
+  /// pass per table; a query never waits for peers, so batches form only
+  /// behind busy slots. 1 executes every query alone. Results are
+  /// byte-identical either way.
   size_t serve_batch_max_queries = 8;
 
   uint64_t seed = 1;

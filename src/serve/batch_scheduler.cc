@@ -8,7 +8,6 @@ namespace serve {
 
 BatchScheduler::BatchScheduler(Options options, ExecuteFn execute)
     : options_(options), execute_(std::move(execute)) {
-  gatherer_ = std::thread([this] { GatherLoop(); });
   const size_t n = std::max<size_t>(1, options_.slots);
   executors_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -21,45 +20,23 @@ BatchScheduler::~BatchScheduler() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  gather_cv_.notify_all();
   exec_cv_.notify_all();
-  // The gatherer flushes every gathering group into ready_ before it
-  // exits; executors drain ready_ to empty before they exit — so every
+  // Executors drain the queue to empty before they exit, so every
   // submitted ticket's promise resolves before destruction completes.
-  gatherer_.join();
   for (std::thread& t : executors_) t.join();
 }
 
 bool BatchScheduler::Submit(Ticket ticket) {
-  const std::string key = ticket.group_key;
-  bool promoted = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || queued_tickets_ >= options_.queue_capacity) {
+    if (stop_ || queue_.size() >= options_.queue_capacity) {
       ++rejected_;
       return false;
     }
     ++submitted_;
-    ++queued_tickets_;
-    Group& group = gathering_[key];
-    if (group.tickets.empty()) group.oldest = Clock::now();
-    group.tickets.push_back(std::move(ticket));
-    const bool full =
-        group.tickets.size() >= std::max<size_t>(1, options_.max_batch);
-    if (full || options_.window_seconds <= 0.0) {
-      ++batches_formed_;
-      batch_members_ += group.tickets.size();
-      ready_.push_back(std::move(group.tickets));
-      gathering_.erase(key);
-      promoted = true;
-    }
+    queue_.push_back(std::move(ticket));
   }
-  if (promoted) {
-    exec_cv_.notify_one();
-  } else {
-    // A new group may now carry the earliest gather deadline.
-    gather_cv_.notify_one();
-  }
+  exec_cv_.notify_one();
   return true;
 }
 
@@ -67,8 +44,7 @@ bool BatchScheduler::RunInlineOrSubmit(Ticket ticket) {
   bool run_inline = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    run_inline = options_.window_seconds <= 0.0 && !stop_ &&
-                 queued_tickets_ == 0 &&
+    run_inline = !stop_ && queue_.empty() &&
                  running_ < std::max<size_t>(1, options_.slots);
     if (run_inline) {
       ++running_;
@@ -96,67 +72,39 @@ void BatchScheduler::ReleaseInlineSlot() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     --running_;
-    queued = !ready_.empty();
+    queued = !queue_.empty();
   }
-  // The freed slot goes to the oldest batch that queued meanwhile.
+  // The freed slot goes to the oldest ticket that queued meanwhile.
   if (queued) exec_cv_.notify_one();
-}
-
-void BatchScheduler::GatherLoop() {
-  const auto window = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(std::max(0.0, options_.window_seconds)));
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (gathering_.empty()) {
-      gather_cv_.wait(lock, [this] { return stop_ || !gathering_.empty(); });
-      continue;
-    }
-    Clock::time_point earliest = Clock::time_point::max();
-    for (const auto& entry : gathering_) {
-      earliest = std::min(earliest, entry.second.oldest + window);
-    }
-    gather_cv_.wait_until(lock, earliest);
-    if (stop_) break;
-    const Clock::time_point now = Clock::now();
-    bool promoted = false;
-    for (auto it = gathering_.begin(); it != gathering_.end();) {
-      if (now >= it->second.oldest + window) {
-        ++batches_formed_;
-        batch_members_ += it->second.tickets.size();
-        ready_.push_back(std::move(it->second.tickets));
-        it = gathering_.erase(it);
-        promoted = true;
-      } else {
-        ++it;
-      }
-    }
-    if (promoted) exec_cv_.notify_all();
-  }
-  // Shutdown flush: promote every gathering group so its members execute
-  // (and resolve) rather than vanish.
-  for (auto& entry : gathering_) {
-    ++batches_formed_;
-    batch_members_ += entry.second.tickets.size();
-    ready_.push_back(std::move(entry.second.tickets));
-  }
-  gathering_.clear();
-  flushed_ = true;
-  exec_cv_.notify_all();
 }
 
 void BatchScheduler::ExecutorLoop() {
   const size_t slots = std::max<size_t>(1, options_.slots);
+  const size_t max_batch = std::max<size_t>(1, options_.max_batch);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     exec_cv_.wait(lock, [this, slots] {
-      return (!ready_.empty() && running_ < slots) ||
-             (ready_.empty() && stop_ && flushed_);
+      return (!queue_.empty() && running_ < slots) ||
+             (queue_.empty() && stop_);
     });
-    if (ready_.empty()) break;  // stopped, flushed, and drained
-    std::vector<Ticket> batch = std::move(ready_.front());
-    ready_.pop_front();
-    queued_tickets_ -= batch.size();
+    if (queue_.empty()) break;  // stopped and drained
+    // Group commit: the oldest ticket leads, and the queued tickets with
+    // its key follow in arrival order.
+    std::vector<Ticket> batch;
+    batch.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    for (auto it = queue_.begin();
+         it != queue_.end() && batch.size() < max_batch;) {
+      if (it->group_key == batch.front().group_key) {
+        batch.push_back(std::move(*it));
+        it = queue_.erase(it);
+      } else {
+        ++it;
+      }
+    }
     ++running_;
+    ++batches_formed_;
+    batch_members_ += batch.size();
     lock.unlock();
     execute_(std::move(batch));
     lock.lock();
@@ -177,7 +125,7 @@ BatchScheduler::Stats BatchScheduler::stats() const {
 
 size_t BatchScheduler::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queued_tickets_;
+  return queue_.size();
 }
 
 }  // namespace serve

@@ -4,31 +4,30 @@
 // statement copy, its bound form, caller context, fingerprint, promise).
 // At most `slots` batches execute at once. A synchronous caller runs its
 // ticket as a one-member batch on its own thread (RunInlineOrSubmit) when
-// the gather window is 0, a slot is free and no ticket is queued ahead of
-// it — the ThreadPool::ParallelFor pattern of the caller doing the work.
-// Every other ticket waits in a bounded queue: a gather thread groups
-// tickets by their table-set key, and a group becomes a batch when it
-// reaches max_batch members or its oldest ticket has waited out the
-// gather window, whichever comes first — so queries over the same tables
-// share one scan pass (multi-query optimization), while disjoint-table
-// queries sit in different groups and never wait on each other's
-// batches. Ready batches leave the queue in arrival order, one per free
-// slot, on a fixed pool of executor threads. Inline runs and executor
-// runs both go through the engine's ExecuteFn (ServeEngine::ExecuteBatch),
-// which resolves every member's promise; asynchronous sessions wait on
-// futures, not threads.
+// a slot is free and no ticket is queued ahead of it — the
+// ThreadPool::ParallelFor pattern of the caller doing the work. Every
+// other ticket waits in one bounded queue, in arrival order, for a fixed
+// pool of executor threads (one per slot).
 //
-// Shutdown flushes: the destructor stops intake, promotes every gathering
-// group to a batch, executes them all, then joins — no ticket is ever
-// dropped with an unresolved promise.
+// Batches form by group commit: when a slot frees, the executor that
+// takes it removes the oldest queued ticket and the queued tickets with
+// the same table-set key, in arrival order, up to max_batch, and runs
+// them as one batch. So queries over the same tables share one scan pass
+// (multi-query optimization) exactly when load has built a queue behind
+// busy slots, and a ticket never waits for peers that have not arrived.
+// Inline runs and executor runs both go through the engine's ExecuteFn
+// (ServeEngine::ExecuteBatch), which resolves every member's promise;
+// asynchronous sessions wait on futures, not threads.
+//
+// Shutdown drains: the destructor stops intake, and the executors exit
+// only once the queue is empty — no ticket is ever dropped with an
+// unresolved promise.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,13 +46,10 @@ namespace serve {
 class BatchScheduler {
  public:
   struct Options {
-    /// Seconds a group's oldest ticket waits for peers before the group
-    /// executes. <= 0 makes every ticket its own batch the moment it is
-    /// admitted (and lets RunInlineOrSubmit run it on the caller).
-    double window_seconds = 0.001;
-    /// A group reaching this many members executes without waiting.
+    /// Tickets one batch may take from the queue: the oldest and its
+    /// same-key peers. 1 runs every ticket alone.
     size_t max_batch = 8;
-    /// Tickets queued (gathering + ready) before Submit rejects.
+    /// Tickets queued before Submit rejects.
     size_t queue_capacity = 16;
     /// Batches executing at once, inline or on an executor thread (the
     /// serving layer's in-flight bound). One executor thread per slot.
@@ -91,11 +87,10 @@ class BatchScheduler {
   /// caller owns the rejection (shed / typed back-pressure error).
   [[nodiscard]] bool Submit(Ticket ticket) ASQP_EXCLUDES(mu_);
 
-  /// Run `ticket` as a one-member batch on the calling thread when the
-  /// gather window is 0, a slot is free and no ticket is queued — the
-  /// promise is resolved when this returns. Otherwise Submit it, so a
-  /// late arrival never runs ahead of a queued ticket. Returns false
-  /// exactly when Submit would.
+  /// Run `ticket` as a one-member batch on the calling thread when a slot
+  /// is free and no ticket is queued — the promise is resolved when this
+  /// returns. Otherwise Submit it, so a late arrival never runs ahead of
+  /// a queued ticket. Returns false exactly when Submit would.
   [[nodiscard]] bool RunInlineOrSubmit(Ticket ticket) ASQP_EXCLUDES(mu_);
 
   struct Stats {
@@ -107,38 +102,24 @@ class BatchScheduler {
   };
   Stats stats() const;
 
-  /// Tickets gathering or ready but not yet handed to an executor.
+  /// Tickets queued but not yet taken into a batch.
   size_t QueueDepth() const;
 
   const Options& options() const { return options_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  /// Groups only live inside `gathering_`, so their fields inherit its
-  /// lock protocol.
-  struct Group {
-    std::vector<Ticket> tickets ASQP_GUARDED_BY(mu_);
-    /// Arrival of the first (oldest) ticket.
-    Clock::time_point oldest ASQP_GUARDED_BY(mu_);
-  };
-
-  void GatherLoop();
   void ExecutorLoop();
-  /// Return an inline run's slot, handing it to a queued batch if any.
+  /// Return an inline run's slot, handing it to a queued ticket if any.
   void ReleaseInlineSlot() ASQP_EXCLUDES(mu_);
 
   const Options options_;
   const ExecuteFn execute_;
 
   mutable std::mutex mu_;
-  std::condition_variable gather_cv_;
   std::condition_variable exec_cv_;
   bool stop_ ASQP_GUARDED_BY(mu_) = false;
-  bool flushed_ ASQP_GUARDED_BY(mu_) = false;
-  std::map<std::string, Group> gathering_ ASQP_GUARDED_BY(mu_);
-  std::deque<std::vector<Ticket>> ready_ ASQP_GUARDED_BY(mu_);
-  size_t queued_tickets_ ASQP_GUARDED_BY(mu_) = 0;
+  /// Admitted tickets not yet taken into a batch, oldest first.
+  std::deque<Ticket> queue_ ASQP_GUARDED_BY(mu_);
   /// Batches executing right now, inline or on executors (<= slots).
   size_t running_ ASQP_GUARDED_BY(mu_) = 0;
   uint64_t submitted_ ASQP_GUARDED_BY(mu_) = 0;
@@ -147,7 +128,6 @@ class BatchScheduler {
   uint64_t batch_members_ ASQP_GUARDED_BY(mu_) = 0;
   uint64_t inline_runs_ ASQP_GUARDED_BY(mu_) = 0;
 
-  std::thread gatherer_;
   std::vector<std::thread> executors_;
 };
 

@@ -25,7 +25,6 @@ ServeOptions ServeOptions::FromConfig(const core::AsqpConfig& config) {
                                     : 1);
   options.cache_bytes = config.cache_bytes;
   options.shed_to_learned = config.serve_shed_to_learned;
-  options.batch_window_ms = config.serve_batch_window_ms;
   options.batch_max_queries = config.serve_batch_max_queries;
   return options;
 }
@@ -39,7 +38,6 @@ ServeEngine::ServeEngine(core::AsqpModel* model, ServeOptions options)
              std::max<size_t>(1, options.cache_shards)) {
   model_->SetExecutionPool(pool_);
   BatchScheduler::Options sched;
-  sched.window_seconds = std::max(0.0, options_.batch_window_ms) / 1000.0;
   sched.max_batch = std::max<size_t>(1, options_.batch_max_queries);
   sched.queue_capacity = options_.queue_capacity;
   sched.slots = std::max<size_t>(1, options_.max_inflight);
@@ -50,7 +48,7 @@ ServeEngine::ServeEngine(core::AsqpModel* model, ServeOptions options)
 }
 
 ServeEngine::~ServeEngine() {
-  // Stop intake and flush every pending batch while the model and pool
+  // Stop intake and drain every queued ticket while the model and pool
   // are still alive (the scheduler's destructor executes them), then
   // detach the model from the pool we are about to destroy: the model
   // outlives the engine and must not execute on a dead pool.
@@ -120,8 +118,8 @@ ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
   reader.unlock();
 
   BatchScheduler::Ticket ticket;
-  // Group key: sorted, deduplicated bound table names — queries over the
-  // same table set gather into one shared-scan batch regardless of the
+  // Group key: sorted, deduplicated bound table names — queued queries
+  // over the same table set join one shared-scan batch regardless of the
   // order tables appear in the FROM list.
   std::vector<std::string> names;
   names.reserve(bound.value().tables.size());

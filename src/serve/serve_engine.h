@@ -14,11 +14,11 @@
 //      batches execute at once and up to queue_capacity tickets queue
 //      behind them in arrival order. AnswerAsync queues its ticket and
 //      returns an AnswerFuture; Answer runs its ticket on its own thread
-//      when the gather window is 0, a slot is free and nothing is queued,
-//      and otherwise queues it and waits. Same-table-set tickets that
-//      meet within batch_window_ms execute as one batch sharing a single
-//      scan pass per table (AsqpModel::AnswerBatch), byte-identical to
-//      solo execution.
+//      when a slot is free and nothing is queued, and otherwise queues it
+//      and waits. When a slot frees, the oldest queued ticket and up to
+//      batch_max_queries - 1 queued tickets over the same table set
+//      execute as one batch sharing a single scan pass per table
+//      (AsqpModel::AnswerBatch), byte-identical to solo execution.
 //   3. The tail, ExecuteBatch, whichever thread runs it: expiry while
 //      queued, a cache hit since submission, canonical dedup, execution,
 //      and the conversion of every outcome. Under overload a client gets
@@ -76,19 +76,14 @@ struct ServeOptions {
   /// fallback instead of erroring. Unsupported queries keep the typed
   /// admission error (queue full) or degrade to kDegraded.
   bool shed_to_learned = true;
-  /// Gather window for shared-scan batching, in milliseconds: same-table-
-  /// set queries arriving within the window execute as one batch sharing
-  /// a single scan pass per table. 0 (the default) forms a batch per
-  /// query the moment it is admitted.
-  double batch_window_ms = 0.0;
-  /// Queries a gathering group may accumulate before it executes without
-  /// waiting out the window.
+  /// Queued queries one shared-scan batch may take: the oldest and its
+  /// same-table-set peers. 1 executes every query alone.
   size_t batch_max_queries = 8;
 
   /// Derive the serving knobs from a model's AsqpConfig
   /// (serve_max_inflight, serve_queue_capacity, serve_pool_threads /
   /// exec_threads, cache_bytes, serve_shed_to_learned,
-  /// serve_batch_window_ms, serve_batch_max_queries).
+  /// serve_batch_max_queries).
   static ServeOptions FromConfig(const core::AsqpConfig& config);
 };
 
@@ -104,11 +99,12 @@ class ServeEngine {
 
   /// Serve one query and wait for its answer: front half (cache hits
   /// return here, bypassing admission), then admission and execution —
-  /// on this thread when the gather window is 0, a slot is free and no
-  /// ticket is queued, else on an executor thread after the queued
-  /// tickets ahead of it. `context` bounds the execution; a deadline or
-  /// cancellation that trips while the ticket is queued is noticed when
-  /// it leaves the queue (shed to the learned tier, or kDegraded).
+  /// on this thread when a slot is free and no ticket is queued, else
+  /// queued and run on an executor thread, batched with queued peers over
+  /// the same table set (BatchScheduler). `context` bounds the execution;
+  /// a deadline or cancellation that trips while the ticket is queued is
+  /// noticed when it leaves the queue (shed to the learned tier, or
+  /// kDegraded).
   [[nodiscard]] util::Result<core::AnswerResult> Answer(
       const sql::SelectStatement& stmt,
       const util::ExecContext& context = util::ExecContext());
@@ -218,7 +214,7 @@ class ServeEngine {
   std::atomic<uint64_t> batch_solo_{0};
 
   /// The admission gate. Declared last so its destructor runs first:
-  /// pending batches flush against a still-live engine.
+  /// queued tickets drain against a still-live engine.
   std::unique_ptr<BatchScheduler> scheduler_;
 };
 

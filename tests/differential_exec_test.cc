@@ -283,7 +283,7 @@ class QueryFuzzer {
   void AddFrom(sql::SelectStatement* stmt, const std::string& table) {
     from_positions_[table] = stmt->from.size();
     stmt->from.push_back(
-        {table, "t" + std::to_string(stmt->from.size())});
+        {table, std::string("t") + std::to_string(stmt->from.size())});
   }
 
   ColRef RandomColumn(const sql::SelectStatement& stmt) {

@@ -53,7 +53,7 @@ TEST(FaultPointRegistryTest, EveryRegisteredPointIsExercisedByATest) {
   ASSERT_GT(files, 1u);
 
   for (size_t i = 0; i < kNumFaultPoints; ++i) {
-    const std::string quoted = "\"" + std::string(kFaultPoints[i]) + "\"";
+    const std::string quoted = std::string("\"") + kFaultPoints[i] + "\"";
     EXPECT_NE(corpus.find(quoted), std::string::npos)
         << "registered fault point " << kFaultPoints[i]
         << " is not exercised by any test under tests/ — add a test that "

@@ -428,8 +428,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 7, 64),
                        ::testing::Values<size_t>(0, 1, 2, 4)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_pool" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("n") + std::to_string(std::get<0>(info.param)) +
+             "_pool" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(AdamTest, StepIsIndependentOfThePool) {

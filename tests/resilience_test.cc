@@ -22,6 +22,7 @@
 #include "serve/serve_engine.h"
 #include "sql/parser.h"
 #include "storage/index.h"
+#include "tests/slot_hold.h"
 #include "tests/testing.h"
 #include "util/exec_context.h"
 #include "util/fault_injector.h"
@@ -714,9 +715,11 @@ TEST_F(ServeFaultPointTest, BatchedMemberFaultDegradesAloneInItsBatch) {
   }
 
   serve::ServeOptions options = Options();
-  options.batch_window_ms = 200.0;
-  options.batch_max_queries = sqls.size();  // closes when the last arrives
+  options.max_inflight = 1;
   serve::ServeEngine engine(model_.get(), options);
+  // The members queue behind the hold, so they leave the queue together.
+  testing::SlotHold hold(&engine);
+  const serve::ServeEngine::Stats before = engine.stats();
 
   // One shot: exactly one batched member crosses the armed point (they
   // execute in deterministic submission order, so it is the first).
@@ -725,6 +728,7 @@ TEST_F(ServeFaultPointTest, BatchedMemberFaultDegradesAloneInItsBatch) {
   for (const std::string& sql : sqls) {
     futures.push_back(engine.AnswerSqlAsync(sql));
   }
+  hold.Release();
   std::vector<core::AnswerResult> got;
   for (serve::AnswerFuture& f : futures) {
     util::Result<core::AnswerResult> r = f.Get();
@@ -752,9 +756,9 @@ TEST_F(ServeFaultPointTest, BatchedMemberFaultDegradesAloneInItsBatch) {
   }
   EXPECT_EQ(faulted, 1u);
   // The three same-table members shared one batch and one scan pass.
-  serve::ServeEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.batches_formed, 1u);
-  EXPECT_EQ(stats.batch_members, sqls.size());
+  const serve::ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.batches_formed - before.batches_formed, 1u);
+  EXPECT_EQ(stats.batch_members - before.batch_members, sqls.size());
 }
 
 }  // namespace

@@ -178,7 +178,11 @@ TEST_F(ServeStressTest, EightSessionsShareOnePoolAndOneCache) {
   // Repeat queries hit: with 4 distinct queries and 8 * N requests, the
   // vast majority must come from the cache.
   EXPECT_GT(stats.cache_hits, successes.load() / 2);
-  EXPECT_EQ(stats.cache_hits + stats.admitted, stats.served);
+  // Every answer is a cache hit, an execution, or a queued duplicate that
+  // shared a batch peer's execution (counted in shared_scan_saved).
+  EXPECT_LE(stats.cache_hits + stats.admitted, stats.served);
+  EXPECT_LE(stats.served,
+            stats.cache_hits + stats.admitted + stats.shared_scan_saved);
   // Out-of-distribution person queries recorded drift concurrently.
   EXPECT_GT(model_->drifted_query_count(), 0u);
 }
@@ -269,8 +273,10 @@ TEST_F(ServeStressTest, AdmissionSyncSessionsBeyondTheSlotsQueueAndAgree) {
   ServeEngine::Stats stats = engine.stats();
   EXPECT_EQ(stats.served, total);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.admitted, total);
+  // Every request became a batch member; equal queries queued together
+  // share one execution, so fewer may have been admitted.
   EXPECT_EQ(stats.batch_members, total);
+  EXPECT_LE(stats.admitted, total);
   EXPECT_GT(stats.inline_runs, 0u);
   EXPECT_LE(stats.inline_runs, total);
   EXPECT_EQ(stats.queue_depth, 0u);
@@ -499,7 +505,6 @@ TEST_F(ServeStressTest, BatchedSessionsAgreeWithUnbatchedAnswers) {
   options.pool_threads = 2;
   options.cache_bytes = 8 << 20;
   options.cache_shards = 4;
-  options.batch_window_ms = 1.0;
   options.batch_max_queries = 4;
   ServeEngine engine(model_.get(), options);
 
@@ -575,7 +580,6 @@ TEST_F(ServeStressTest, BatchedChaosKeepsTheDegradationContract) {
   options.queue_capacity = 4;
   options.pool_threads = 2;
   options.cache_bytes = 0;
-  options.batch_window_ms = 1.0;
   options.batch_max_queries = 4;
   ServeEngine engine(model_.get(), options);
 

@@ -1,17 +1,19 @@
 // Serving-layer tests: AnswerCache unit behavior (LRU, byte budget,
 // generations, collisions), BatchScheduler admission (inline solo runs,
-// arrival order), and ServeEngine end-to-end on a trained model (cache
-// hits byte-identical to executions, equivalent spellings share an entry,
-// FineTune invalidates, shared-pool answers identical at every pool size,
-// admission outcomes).
+// arrival order, group commit, shutdown), and ServeEngine end-to-end on
+// a trained model (cache hits byte-identical to executions, equivalent
+// spellings share an entry, FineTune invalidates, shared-pool answers
+// identical at every pool size, batching, admission outcomes).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.h"
@@ -20,6 +22,7 @@
 #include "serve/batch_scheduler.h"
 #include "serve/serve_engine.h"
 #include "sql/canonicalize.h"
+#include "tests/slot_hold.h"
 #include "tests/testing.h"
 #include "util/exec_context.h"
 
@@ -79,8 +82,8 @@ TEST(AnswerCacheTest, StaleGenerationInvalidatesLazily) {
 TEST(AnswerCacheTest, InvalidateOlderThanSweepsEagerly) {
   AnswerCache cache(1 << 20, 4);
   for (uint64_t h = 0; h < 8; ++h) {
-    cache.Insert(MakeFp(h, "q" + std::to_string(h)), /*generation=*/0,
-                 MakeAnswer("a", 1));
+    cache.Insert(MakeFp(h, std::string("q") + std::to_string(h)),
+                 /*generation=*/0, MakeAnswer("a", 1));
   }
   cache.Insert(MakeFp(100, "fresh"), /*generation=*/1, MakeAnswer("b", 1));
   cache.InvalidateOlderThan(1);
@@ -144,7 +147,8 @@ TEST(AnswerCacheTest, ReplaceSameFingerprintKeepsOneEntry) {
 TEST(AnswerCacheTest, ClearDropsEverything) {
   AnswerCache cache(1 << 20, 4);
   for (uint64_t h = 0; h < 6; ++h) {
-    cache.Insert(MakeFp(h, "q" + std::to_string(h)), 0, MakeAnswer("x", 1));
+    cache.Insert(MakeFp(h, std::string("q") + std::to_string(h)), 0,
+                 MakeAnswer("x", 1));
   }
   cache.Clear();
   AnswerCache::Stats stats = cache.stats();
@@ -154,26 +158,35 @@ TEST(AnswerCacheTest, ClearDropsEverything) {
 
 // ---- BatchScheduler admission ----------------------------------------
 
-BatchScheduler::Ticket TaggedTicket(const std::string& tag) {
+BatchScheduler::Ticket TaggedTicket(const std::string& tag,
+                                    const std::string& key = "t") {
   BatchScheduler::Ticket ticket;
-  ticket.group_key = "t";
+  ticket.group_key = key;
   ticket.fingerprint.canonical = tag;
   return ticket;
 }
 
-/// An ExecuteFn that records which tickets ran, in order, and on which
-/// thread; a ticket tagged `hold` blocks until Release().
+/// An ExecuteFn that records which tickets ran, in order, in which
+/// batches, and on which thread; a ticket tagged `hold` blocks until
+/// Release().
 class RecordingExecutor {
  public:
   explicit RecordingExecutor(std::string hold = "") : hold_(std::move(hold)) {}
 
   BatchScheduler::ExecuteFn Fn() {
     return [this](std::vector<BatchScheduler::Ticket>&& batch) {
+      size_t index = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        index = batches_.size();
+        batches_.emplace_back();
+      }
       for (BatchScheduler::Ticket& ticket : batch) {
         const std::string& tag = ticket.fingerprint.canonical;
         {
           std::unique_lock<std::mutex> lock(mu_);
           order_.push_back(tag);
+          batches_[index].push_back(tag);
           threads_.push_back(std::this_thread::get_id());
           if (tag == hold_) {
             holding_ = true;
@@ -200,6 +213,10 @@ class RecordingExecutor {
     std::lock_guard<std::mutex> lock(mu_);
     return order_;
   }
+  std::vector<std::vector<std::string>> batches() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
+  }
   std::vector<std::thread::id> threads() {
     std::lock_guard<std::mutex> lock(mu_);
     return threads_;
@@ -212,12 +229,12 @@ class RecordingExecutor {
   bool holding_ = false;
   bool released_ = false;
   std::vector<std::string> order_;
+  std::vector<std::vector<std::string>> batches_;
   std::vector<std::thread::id> threads_;
 };
 
-BatchScheduler::Options ZeroWindow(size_t slots) {
+BatchScheduler::Options Slots(size_t slots) {
   BatchScheduler::Options options;
-  options.window_seconds = 0.0;
   options.queue_capacity = 8;
   options.slots = slots;
   return options;
@@ -225,7 +242,7 @@ BatchScheduler::Options ZeroWindow(size_t slots) {
 
 TEST(BatchSchedulerAdmissionTest, IdleSyncTicketRunsOnTheCallingThread) {
   RecordingExecutor executor;
-  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  BatchScheduler scheduler(Slots(1), executor.Fn());
   BatchScheduler::Ticket ticket = TaggedTicket("a");
   AnswerFuture future = ticket.promise.future();
   ASSERT_TRUE(scheduler.RunInlineOrSubmit(std::move(ticket)));
@@ -241,7 +258,7 @@ TEST(BatchSchedulerAdmissionTest, IdleSyncTicketRunsOnTheCallingThread) {
 
 TEST(BatchSchedulerAdmissionTest, SubmitNeverRunsOnTheCaller) {
   RecordingExecutor executor("a");
-  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  BatchScheduler scheduler(Slots(1), executor.Fn());
   BatchScheduler::Ticket ticket = TaggedTicket("a");
   AnswerFuture future = ticket.promise.future();
   // The ticket's execution blocks until Release(), so Submit returning at
@@ -258,7 +275,7 @@ TEST(BatchSchedulerAdmissionTest, SubmitNeverRunsOnTheCaller) {
 
 TEST(BatchSchedulerAdmissionTest, BusySlotsQueueSyncTicketsInArrivalOrder) {
   RecordingExecutor executor("a");
-  BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+  BatchScheduler scheduler(Slots(1), executor.Fn());
   // "a" takes the only slot inline on its own thread and holds it.
   std::thread holder([&scheduler] {
     EXPECT_TRUE(scheduler.RunInlineOrSubmit(TaggedTicket("a")));
@@ -286,7 +303,7 @@ TEST(BatchSchedulerAdmissionTest, LateArrivalNeverRunsAheadOfAQueuedTicket) {
   // gap must queue, not run inline. The gap is a race, so try it often.
   for (int round = 0; round < 50; ++round) {
     RecordingExecutor executor("a");
-    BatchScheduler scheduler(ZeroWindow(1), executor.Fn());
+    BatchScheduler scheduler(Slots(1), executor.Fn());
     BatchScheduler::Ticket first = TaggedTicket("a");
     AnswerFuture first_done = first.promise.future();
     std::thread holder([&scheduler, &first] {
@@ -310,7 +327,7 @@ TEST(BatchSchedulerAdmissionTest, LateArrivalNeverRunsAheadOfAQueuedTicket) {
 
 TEST(BatchSchedulerAdmissionTest, FullQueueRejectsWithoutResolving) {
   RecordingExecutor executor("a");
-  BatchScheduler::Options options = ZeroWindow(1);
+  BatchScheduler::Options options = Slots(1);
   options.queue_capacity = 1;
   BatchScheduler scheduler(options, executor.Fn());
   std::thread holder([&scheduler] {
@@ -326,6 +343,79 @@ TEST(BatchSchedulerAdmissionTest, FullQueueRejectsWithoutResolving) {
   executor.Release();
   holder.join();
   EXPECT_EQ(scheduler.stats().rejected, 1u);
+}
+
+using Batches = std::vector<std::vector<std::string>>;
+
+/// The batches that leave the queue when b(k1) c(k2) d(k1) e(k1) queue, in
+/// that order, behind "a" holding the only slot.
+Batches BatchesBehindAHold(size_t max_batch) {
+  RecordingExecutor executor("a");
+  BatchScheduler::Options options = Slots(1);
+  options.max_batch = max_batch;
+  BatchScheduler scheduler(options, executor.Fn());
+  EXPECT_TRUE(scheduler.Submit(TaggedTicket("a", "k1")));
+  executor.AwaitHolding();
+  const std::vector<std::pair<std::string, std::string>> queued = {
+      {"b", "k1"}, {"c", "k2"}, {"d", "k1"}, {"e", "k1"}};
+  std::vector<AnswerFuture> futures;
+  for (const auto& [tag, key] : queued) {
+    BatchScheduler::Ticket ticket = TaggedTicket(tag, key);
+    futures.push_back(ticket.promise.future());
+    EXPECT_TRUE(scheduler.Submit(std::move(ticket)));
+  }
+  EXPECT_EQ(scheduler.QueueDepth(), queued.size());
+  executor.Release();
+  for (AnswerFuture& f : futures) EXPECT_TRUE(f.Get().ok());
+  const BatchScheduler::Stats stats = scheduler.stats();
+  EXPECT_EQ(stats.batch_members, 1 + queued.size());
+  EXPECT_EQ(stats.batches_formed, executor.batches().size());
+  return executor.batches();
+}
+
+TEST(BatchSchedulerAdmissionTest, OldestTicketLeadsItsQueuedSameKeyPeers) {
+  EXPECT_EQ(BatchesBehindAHold(8), (Batches{{"a"}, {"b", "d", "e"}, {"c"}}));
+}
+
+TEST(BatchSchedulerAdmissionTest, MaxBatchCapsEachBatch) {
+  EXPECT_EQ(BatchesBehindAHold(2),
+            (Batches{{"a"}, {"b", "d"}, {"c"}, {"e"}}));
+  // One ticket per batch is the unbatched control.
+  EXPECT_EQ(BatchesBehindAHold(1),
+            (Batches{{"a"}, {"b"}, {"c"}, {"d"}, {"e"}}));
+}
+
+TEST(BatchSchedulerAdmissionTest, DestructionResolvesEveryQueuedTicket) {
+  RecordingExecutor executor("a");
+  BatchScheduler::Options options = Slots(1);
+  // Room for every ticket the loop below queues before intake stops, so
+  // a refusal can only mean shutdown.
+  options.queue_capacity = 4096;
+  auto scheduler = std::make_unique<BatchScheduler>(options, executor.Fn());
+  BatchScheduler* const live = scheduler.get();
+  ASSERT_TRUE(live->Submit(TaggedTicket("a")));
+  executor.AwaitHolding();
+  std::vector<AnswerFuture> queued;
+  const auto submit = [live, &queued] {
+    BatchScheduler::Ticket ticket = TaggedTicket("queued");
+    AnswerFuture future = ticket.promise.future();
+    if (!live->Submit(std::move(ticket))) return false;
+    queued.push_back(std::move(future));
+    return true;
+  };
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(submit());
+  // The destructor stops intake at once, then waits for the executor,
+  // which "a" holds: the scheduler stays alive until Release().
+  std::thread destroyer([&scheduler] { scheduler.reset(); });
+  while (submit()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_LT(queued.size(), options.queue_capacity);
+  EXPECT_EQ(live->QueueDepth(), queued.size());
+  executor.Release();
+  destroyer.join();
+  for (AnswerFuture& f : queued) EXPECT_TRUE(f.Ready());
+  EXPECT_EQ(executor.order().size(), 1 + queued.size());
 }
 
 // ---- ServeEngine on a trained model -----------------------------------
@@ -351,6 +441,12 @@ class ServeEngineTest : public ::testing::Test {
     config.trainer.learning_rate = 2e-3;
     config.trainer.hidden_dim = 64;
     config.seed = 3;
+    // Route every query through the approximation set, so batch members
+    // share scans whether or not FineTuneInvalidatesCachedAnswers has
+    // already retrained the shared model: this short training leaves
+    // every test query below the default threshold, on the full-database
+    // path, which the shared scan never serves.
+    config.answerable_threshold = 0.0;
     core::AsqpTrainer trainer(config);
     auto report = trainer.Train(*bundle_->db, bundle_->workload);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -369,6 +465,13 @@ class ServeEngineTest : public ::testing::Test {
     options.pool_threads = 2;
     options.cache_bytes = 4 << 20;
     options.cache_shards = 4;
+    return options;
+  }
+
+  /// One slot, for a testing::SlotHold to hold.
+  static ServeOptions HeldServe() {
+    ServeOptions options = SmallServe();
+    options.max_inflight = 1;
     return options;
   }
 
@@ -571,14 +674,9 @@ TEST_F(ServeEngineTest, FromConfigDerivesKnobs) {
   EXPECT_TRUE(options.shed_to_learned);  // default on
   config.serve_shed_to_learned = false;
   EXPECT_FALSE(ServeOptions::FromConfig(config).shed_to_learned);
-  // Batching knobs: zero window by default, carried through when set.
-  EXPECT_EQ(options.batch_window_ms, 0.0);
   EXPECT_EQ(options.batch_max_queries, 8u);
-  config.serve_batch_window_ms = 2.5;
   config.serve_batch_max_queries = 3;
-  ServeOptions batched = ServeOptions::FromConfig(config);
-  EXPECT_EQ(batched.batch_window_ms, 2.5);
-  EXPECT_EQ(batched.batch_max_queries, 3u);
+  EXPECT_EQ(ServeOptions::FromConfig(config).batch_max_queries, 3u);
 }
 
 // ---- Batched / async serving ------------------------------------------
@@ -607,92 +705,91 @@ TEST_F(ServeEngineTest, BatchedAnswersAreByteIdenticalToUnbatched) {
       want_columns.push_back(r.result.column_names());
     }
   }
-  ServeOptions options = SmallServe();
-  options.batch_window_ms = 5.0;
-  options.batch_max_queries = 4;
-  ServeEngine batched(model_.get(), options);
+  ServeEngine batched(model_.get(), HeldServe());
+  testing::SlotHold hold(&batched);
+  const ServeEngine::Stats before = batched.stats();
   std::vector<AnswerFuture> futures;
   futures.reserve(sqls.size());
   for (const std::string& sql : sqls) {
     futures.push_back(batched.AnswerSqlAsync(sql));
   }
+  hold.Release();
   for (size_t i = 0; i < sqls.size(); ++i) {
     util::Result<core::AnswerResult> got = futures[i].Get();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(Keys(got.value().result), want[i]) << sqls[i];
     EXPECT_EQ(got.value().result.column_names(), want_columns[i]);
   }
-  ServeEngine::Stats stats = batched.stats();
-  EXPECT_EQ(stats.served, sqls.size());
-  EXPECT_GE(stats.batches_formed, 1u);
-  EXPECT_EQ(stats.batch_members, sqls.size());
+  // The join, the two title queries as one batch, and the person query.
+  const ServeEngine::Stats stats = batched.stats();
+  EXPECT_EQ(stats.served - before.served, sqls.size());
+  EXPECT_EQ(stats.batches_formed - before.batches_formed, 3u);
+  EXPECT_EQ(stats.batch_members - before.batch_members, sqls.size());
 }
 
 TEST_F(ServeEngineTest, SameTablePredicatesShareOneBatchAndOneScan) {
-  ServeOptions options = SmallServe();
-  // max_batch = 2 closes the group the instant the second same-table
-  // query arrives — the test never depends on window timing.
-  options.batch_window_ms = 200.0;
-  options.batch_max_queries = 2;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
   AnswerFuture a = engine.AnswerSqlAsync(kTitleRecent);
   AnswerFuture b = engine.AnswerSqlAsync(kTitleOld);
+  EXPECT_EQ(engine.stats().queue_depth, 2u);
+  hold.Release();
   util::Result<core::AnswerResult> ra = a.Get();
   util::Result<core::AnswerResult> rb = b.Get();
   ASSERT_TRUE(ra.ok()) << ra.status().ToString();
   ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-  ServeEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.batches_formed, 1u);
-  EXPECT_EQ(stats.batch_members, 2u);
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.batches_formed - before.batches_formed, 1u);
+  EXPECT_EQ(stats.batch_members - before.batch_members, 2u);
   // Two members over one table: the shared pass saved one scan.
-  EXPECT_GE(stats.shared_scan_saved, 1u);
+  EXPECT_GE(stats.shared_scan_saved - before.shared_scan_saved, 1u);
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 TEST_F(ServeEngineTest, EquivalentSpellingsDeduplicateWithinABatch) {
-  ServeOptions options = SmallServe();
-  options.batch_window_ms = 200.0;
-  options.batch_max_queries = 2;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
+  const size_t entries_before = engine.cache().stats().entries;
   // Same query in two spellings (flipped inequality): one execution
   // serves both members.
   AnswerFuture a = engine.AnswerSqlAsync(
       "SELECT t.name FROM title t WHERE t.production_year >= 2000");
   AnswerFuture b = engine.AnswerSqlAsync(
       "SELECT t.name FROM title t WHERE 2000 <= t.production_year");
+  hold.Release();
   util::Result<core::AnswerResult> ra = a.Get();
   util::Result<core::AnswerResult> rb = b.Get();
   ASSERT_TRUE(ra.ok()) << ra.status().ToString();
   ASSERT_TRUE(rb.ok()) << rb.status().ToString();
   EXPECT_EQ(Keys(ra.value().result), Keys(rb.value().result));
-  ServeEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.batch_members, 2u);
-  EXPECT_EQ(stats.admitted, 1u);  // one representative executed
-  EXPECT_GE(stats.shared_scan_saved, 1u);
-  EXPECT_EQ(engine.cache().stats().entries, 1u);
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.batch_members - before.batch_members, 2u);
+  // One representative executed.
+  EXPECT_EQ(stats.admitted - before.admitted, 1u);
+  EXPECT_GE(stats.shared_scan_saved - before.shared_scan_saved, 1u);
+  EXPECT_EQ(engine.cache().stats().entries, entries_before + 1);
 }
 
 TEST_F(ServeEngineTest, DisjointTableQueriesNeverShareABatch) {
-  ServeOptions options = SmallServe();
-  // Window far longer than the test: if disjoint-table queries gathered
-  // into one group, the title pair below could not close its batch at
-  // max_batch=2 and the waits would stall for the full window.
-  options.batch_window_ms = 10000.0;
-  options.batch_max_queries = 2;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
   AnswerFuture t1 = engine.AnswerSqlAsync(kTitleRecent);
   AnswerFuture p1 = engine.AnswerSqlAsync(kPersonQuery);
   AnswerFuture t2 = engine.AnswerSqlAsync(kTitleOld);
   AnswerFuture p2 = engine.AnswerSqlAsync(
       "SELECT p.name FROM person p WHERE p.birth_year < 1940");
+  hold.Release();
   for (AnswerFuture* f : {&t1, &p1, &t2, &p2}) {
     util::Result<core::AnswerResult> r = f->Get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  ServeEngine::Stats stats = engine.stats();
-  // Two groups (title, person), each closed by its own second member.
-  EXPECT_EQ(stats.batches_formed, 2u);
-  EXPECT_EQ(stats.batch_members, 4u);
+  const ServeEngine::Stats stats = engine.stats();
+  // One batch per table set: [t1, t2], then [p1, p2].
+  EXPECT_EQ(stats.batches_formed - before.batches_formed, 2u);
+  EXPECT_EQ(stats.batch_members - before.batch_members, 4u);
 }
 
 TEST_F(ServeEngineTest, CompletionQueueMultiplexesManySessions) {
@@ -767,7 +864,7 @@ TEST_F(ServeEngineTest, AdmissionSyncMissWithAFreeSlotRunsInline) {
   EXPECT_EQ(engine.stats().inline_runs, 1u);
 }
 
-TEST_F(ServeEngineTest, AdmissionAsyncWithZeroWindowNeverRunsOnTheCaller) {
+TEST_F(ServeEngineTest, AdmissionAsyncNeverRunsOnTheCaller) {
   ServeEngine engine(model_.get(), SmallServe());
   std::vector<AnswerFuture> futures;
   for (const char* sql : {kTitleRecent, kTitleOld, kPersonQuery}) {
@@ -784,15 +881,13 @@ TEST_F(ServeEngineTest, AdmissionAsyncWithZeroWindowNeverRunsOnTheCaller) {
 
 TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
   ASSERT_NE(model_->learned_fallback(), nullptr);
-  ServeOptions options = SmallServe();
-  // A window far longer than the test keeps the first tickets queued
-  // (gathering) until the engine is destroyed, which flushes them.
-  options.batch_window_ms = 60000.0;
-  options.batch_max_queries = 64;
+  ServeOptions options = HeldServe();
   options.queue_capacity = 2;
   std::vector<AnswerFuture> queued;
   {
     ServeEngine engine(model_.get(), options);
+    testing::SlotHold hold(&engine);
+    const ServeEngine::Stats before = engine.stats();
     queued.push_back(engine.AnswerSqlAsync(kTitleRecent));
     queued.push_back(engine.AnswerSqlAsync(kTitleOld));
     ASSERT_EQ(engine.stats().queue_depth, 2u);
@@ -813,10 +908,10 @@ TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
     EXPECT_EQ(shed.fallback_reason, "shed:queue_full");
     EXPECT_TRUE(shed.fell_back);
 
-    ServeEngine::Stats stats = engine.stats();
+    const ServeEngine::Stats stats = engine.stats();
     EXPECT_EQ(stats.rejected, 3u);
     EXPECT_EQ(stats.shed_learned, 1u);
-    EXPECT_EQ(stats.served, 1u);
+    EXPECT_EQ(stats.served - before.served, 1u);
   }
   for (AnswerFuture& f : queued) {
     util::Result<core::AnswerResult> r = f.Get();
@@ -826,28 +921,33 @@ TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
 
 TEST_F(ServeEngineTest, AdmissionExpiryWhileQueuedShedsOrDegrades) {
   ASSERT_NE(model_->learned_fallback(), nullptr);
-  ServeOptions options = SmallServe();
-  // Tickets wait out a window longer than their deadline, so each one
-  // expires while queued and is noticed when it leaves the queue.
-  options.batch_window_ms = 200.0;
-  ServeEngine engine(model_.get(), options);
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
 
+  // Both tickets queue behind the hold and outlive their deadline there,
+  // so each one's expiry is noticed when it leaves the queue.
   util::ExecContext context;
-  context.set_deadline(util::Deadline::AfterSeconds(0.02));
-  ASSERT_OK_AND_ASSIGN(core::AnswerResult shed,
-                       engine.AnswerSql(kLearnedAggregate, context));
+  context.set_deadline(util::Deadline::AfterSeconds(0.05));
+  AnswerFuture aggregate = engine.AnswerSqlAsync(kLearnedAggregate, context);
+  AnswerFuture join = engine.AnswerSqlAsync(kQuery, context);
+  ASSERT_EQ(engine.stats().queue_depth, 2u);
+  while (!context.deadline().Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  hold.Release();
+
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult shed, aggregate.Get());
   EXPECT_EQ(shed.tier, core::AnswerTier::kLearned);
   EXPECT_EQ(shed.fallback_reason, "shed:admission_deadline");
+  util::Result<core::AnswerResult> degraded = join.Get();
+  ASSERT_FALSE(degraded.ok());
+  EXPECT_EQ(degraded.status().code(), util::StatusCode::kDegraded);
 
-  context.set_deadline(util::Deadline::AfterSeconds(0.02));
-  util::Result<core::AnswerResult> join = engine.AnswerSql(kQuery, context);
-  ASSERT_FALSE(join.ok());
-  EXPECT_EQ(join.status().code(), util::StatusCode::kDegraded);
-
-  ServeEngine::Stats stats = engine.stats();
-  EXPECT_EQ(stats.admission_expired, 2u);
-  EXPECT_EQ(stats.admitted, 0u);
-  EXPECT_EQ(stats.degraded, 1u);
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.admission_expired - before.admission_expired, 2u);
+  EXPECT_EQ(stats.admitted - before.admitted, 0u);
+  EXPECT_EQ(stats.degraded - before.degraded, 1u);
 }
 
 }  // namespace
