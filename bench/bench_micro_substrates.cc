@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths that the
 // paper's end-to-end numbers rest on: hash join (sequential and
 // morsel-parallel across thread counts), Eq.-1 score evaluation,
-// query/tuple embedding, k-means, one PPO policy step, and one minibatch
-// PPO update.
+// query/tuple embedding, k-means, one PPO policy step, one minibatch PPO
+// update, and the SQL front end (parse, bind, fingerprint).
 //
 // Pass `--json out.json` (or set ASQP_BENCH_JSON) to also emit the
 // measurements as machine-readable records; CI's bench-smoke job diffs
@@ -19,8 +19,12 @@
 #include "rl/rollout.h"
 #include "rl/trainer.h"
 #include "sql/binder.h"
+#include "sql/canonicalize.h"
+#include "sql/parser.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "workloadgen/generator.h"
+#include "workloadgen/stats.h"
 
 using namespace asqp;
 
@@ -364,6 +368,97 @@ void BM_PpoMinibatchUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PpoMinibatchUpdate)->Arg(1)->Arg(4)->UseRealTime();
+
+/// The front-end benchmarks' fixed corpus: 64 exploration queries from
+/// workloadgen::QueryGenerator over the IMDB bundle (seed 18; up to two
+/// joins and three predicates, one in four an aggregate), as SQL text.
+const std::vector<std::string>& SqlCorpus() {
+  static const std::vector<std::string>* corpus = [] {
+    const data::DatasetBundle& bundle = Imdb();
+    const workloadgen::DatabaseStats stats =
+        workloadgen::DatabaseStats::Collect(*bundle.db);
+    const workloadgen::QueryGenerator generator(bundle.db.get(), &stats,
+                                                bundle.fks);
+    workloadgen::QueryGenOptions options;
+    options.max_joins = 2;
+    options.max_predicates = 3;
+    options.agg_fraction = 0.25;
+    util::Rng rng(18);
+    // Leaky singleton: shared across benchmarks, freed at process exit.
+    auto* sqls = new std::vector<std::string>();  // NOLINT(asqp-naked-new)
+    for (size_t i = 0; i < 64; ++i) {
+      sqls->push_back(generator.Generate(options, &rng).ToSql());
+    }
+    return sqls;
+  }();
+  return *corpus;
+}
+
+std::vector<sql::SelectStatement> ParsedCorpus() {
+  std::vector<sql::SelectStatement> parsed;
+  for (const std::string& sql : SqlCorpus()) {
+    parsed.push_back(sql::Parse(sql).value());
+  }
+  return parsed;
+}
+
+void BM_SqlParse(benchmark::State& state) {
+  const std::vector<std::string>& corpus = SqlCorpus();
+  for (auto _ : state) {
+    for (const std::string& sql : corpus) {
+      benchmark::DoNotOptimize(sql::Parse(sql));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(corpus.size()));
+}
+BENCHMARK(BM_SqlParse);
+
+/// Arg 0: Bind(const SelectStatement&), which binds a deep copy. Arg 1:
+/// Bind(SelectStatement&&), which binds in place (the serving path); the
+/// statements it consumes are cloned with the timer paused.
+void BM_SqlBind(benchmark::State& state) {
+  const bool in_place = state.range(0) == 1;
+  const storage::Database& db = *Imdb().db;
+  const std::vector<sql::SelectStatement> parsed = ParsedCorpus();
+  std::vector<sql::SelectStatement> batch;
+  for (auto _ : state) {
+    if (!in_place) {
+      for (const sql::SelectStatement& stmt : parsed) {
+        benchmark::DoNotOptimize(sql::Bind(stmt, db));
+      }
+      continue;
+    }
+    state.PauseTiming();
+    batch.clear();
+    for (const sql::SelectStatement& stmt : parsed) {
+      batch.push_back(stmt.Clone());
+    }
+    state.ResumeTiming();
+    for (sql::SelectStatement& stmt : batch) {
+      benchmark::DoNotOptimize(sql::Bind(std::move(stmt), db));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(parsed.size()));
+}
+BENCHMARK(BM_SqlBind)->Arg(0)->Arg(1);
+
+void BM_SqlFingerprint(benchmark::State& state) {
+  const storage::Database& db = *Imdb().db;
+  std::vector<sql::BoundQuery> bound;
+  for (sql::SelectStatement& stmt : ParsedCorpus()) {
+    bound.push_back(sql::Bind(std::move(stmt), db).value());
+  }
+  for (auto _ : state) {
+    for (const sql::BoundQuery& q : bound) {
+      benchmark::DoNotOptimize(sql::FingerprintQuery(q.stmt));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(bound.size()));
+}
+BENCHMARK(BM_SqlFingerprint);
 
 /// Console reporter that additionally captures every per-iteration run as
 /// a BenchRecord (aggregates and errored runs are skipped).

@@ -433,7 +433,7 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   std::vector<util::ExecContext> approx(n);
   std::vector<size_t> batched;
   for (size_t i = 0; i < n; ++i) {
-    answerability[i] = PrepareQuery(*queries[i].stmt);
+    answerability[i] = PrepareQuery(queries[i].bound->stmt);
     if (n == 1 || answerability[i] < config_.answerable_threshold) {
       results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
                                   queries[i].context);

@@ -126,11 +126,11 @@ class AsqpModel {
 
   /// One member of a batched Answer (see AnswerBatch).
   struct BatchQuery {
-    /// The statement to answer, as the client wrote it (the estimator and
-    /// the drift list read it); must outlive the AnswerBatch call.
-    const sql::SelectStatement* stmt = nullptr;
-    /// `stmt` bound against database(), executed without binding again;
-    /// must outlive the AnswerBatch call.
+    /// The query bound against database(), executed without binding
+    /// again; must outlive the AnswerBatch call. The estimator and the
+    /// drift list read `bound->stmt`: binding only annotates column refs
+    /// (table_idx / col_idx), which neither reads, so the estimate is the
+    /// written statement's.
     const sql::BoundQuery* bound = nullptr;
     /// Per-member deadline/cancellation, honored exactly as Answer()'s.
     util::ExecContext context;

@@ -1,6 +1,7 @@
 #include "exec/evaluator.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -188,6 +189,14 @@ util::Result<size_t> FindOutputColumn(
       "'%s' does not name an output column", rendered.c_str()));
 }
 
+/// A predicate's outcome as its scalar value, 1 or 0, built in place: GCC
+/// 12 with -fsanitize=address loses track of a freshly built numeric
+/// Value's variant index when it is moved into a Result, and reports the
+/// string alternative as maybe-uninitialized.
+util::Result<Value> PredicateValue(bool outcome) {
+  return util::Result<Value>(std::in_place, static_cast<int64_t>(outcome));
+}
+
 }  // namespace
 
 util::Result<Value> EvaluateScalarOnRow(
@@ -205,18 +214,18 @@ util::Result<Value> EvaluateScalarOnRow(
         case BinOp::kAnd: {
           ASQP_ASSIGN_OR_RETURN(bool l, EvaluatePredicateOnRow(
                                             *expr.left, column_names, row));
-          if (!l) return Value(int64_t{0});
+          if (!l) return PredicateValue(false);
           ASQP_ASSIGN_OR_RETURN(bool r, EvaluatePredicateOnRow(
                                             *expr.right, column_names, row));
-          return Value(static_cast<int64_t>(r));
+          return PredicateValue(r);
         }
         case BinOp::kOr: {
           ASQP_ASSIGN_OR_RETURN(bool l, EvaluatePredicateOnRow(
                                             *expr.left, column_names, row));
-          if (l) return Value(int64_t{1});
+          if (l) return PredicateValue(true);
           ASQP_ASSIGN_OR_RETURN(bool r, EvaluatePredicateOnRow(
                                             *expr.right, column_names, row));
-          return Value(static_cast<int64_t>(r));
+          return PredicateValue(r);
         }
         default: {
           ASQP_ASSIGN_OR_RETURN(
@@ -236,7 +245,7 @@ util::Result<Value> EvaluateScalarOnRow(
               case BinOp::kGe: result = cmp >= 0; break;
               default: break;
             }
-            return Value(static_cast<int64_t>(result));
+            return PredicateValue(result);
           }
           // Arithmetic.
           if (l.is_null() || r.is_null() || !l.is_numeric() || !r.is_numeric()) {
@@ -258,12 +267,12 @@ util::Result<Value> EvaluateScalarOnRow(
     case ExprKind::kNot: {
       ASQP_ASSIGN_OR_RETURN(
           bool operand, EvaluatePredicateOnRow(*expr.left, column_names, row));
-      return Value(static_cast<int64_t>(!operand));
+      return PredicateValue(!operand);
     }
     case ExprKind::kIn: {
       ASQP_ASSIGN_OR_RETURN(Value v,
                             EvaluateScalarOnRow(*expr.left, column_names, row));
-      if (v.is_null()) return Value(int64_t{0});
+      if (v.is_null()) return PredicateValue(false);
       bool found = false;
       for (const Value& candidate : expr.in_list) {
         if (!candidate.is_null() && v.Compare(candidate) == 0) {
@@ -271,30 +280,29 @@ util::Result<Value> EvaluateScalarOnRow(
           break;
         }
       }
-      return Value(static_cast<int64_t>(expr.negated ? !found : found));
+      return PredicateValue(expr.negated ? !found : found);
     }
     case ExprKind::kBetween: {
       ASQP_ASSIGN_OR_RETURN(Value v,
                             EvaluateScalarOnRow(*expr.left, column_names, row));
-      if (v.is_null()) return Value(int64_t{0});
+      if (v.is_null()) return PredicateValue(false);
       const bool inside = v.Compare(expr.between_lo) >= 0 &&
                           v.Compare(expr.between_hi) <= 0;
-      return Value(static_cast<int64_t>(expr.negated ? !inside : inside));
+      return PredicateValue(expr.negated ? !inside : inside);
     }
     case ExprKind::kLike: {
       ASQP_ASSIGN_OR_RETURN(Value v,
                             EvaluateScalarOnRow(*expr.left, column_names, row));
       if (v.is_null() || v.type() != ValueType::kString) {
-        return Value(int64_t{0});
+        return PredicateValue(false);
       }
       const bool match = LikeMatch(v.AsString(), expr.like_pattern);
-      return Value(static_cast<int64_t>(expr.negated ? !match : match));
+      return PredicateValue(expr.negated ? !match : match);
     }
     case ExprKind::kIsNull: {
       ASQP_ASSIGN_OR_RETURN(Value v,
                             EvaluateScalarOnRow(*expr.left, column_names, row));
-      return Value(
-          static_cast<int64_t>(expr.negated ? !v.is_null() : v.is_null()));
+      return PredicateValue(expr.negated ? !v.is_null() : v.is_null());
     }
   }
   return Value::Null();

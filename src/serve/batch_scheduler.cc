@@ -26,7 +26,7 @@ BatchScheduler::~BatchScheduler() {
   for (std::thread& t : executors_) t.join();
 }
 
-bool BatchScheduler::Submit(Ticket ticket) {
+bool BatchScheduler::Submit(Ticket&& ticket) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ || queue_.size() >= options_.queue_capacity) {
@@ -40,7 +40,7 @@ bool BatchScheduler::Submit(Ticket ticket) {
   return true;
 }
 
-bool BatchScheduler::RunInlineOrSubmit(Ticket ticket) {
+bool BatchScheduler::RunInlineOrSubmit(Ticket&& ticket) {
   bool run_inline = false;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,7 +1,7 @@
 // The serving layer's only admission gate and shared-scan batch former.
 //
-// Every query that misses the answer cache becomes a Ticket (owned
-// statement copy, its bound form, caller context, fingerprint, promise).
+// Every query that misses the answer cache becomes a Ticket (its bound
+// statement, caller context, fingerprint, promise).
 // At most `slots` batches execute at once. A synchronous caller runs its
 // ticket as a one-member batch on its own thread (RunInlineOrSubmit) when
 // a slot is free and no ticket is queued ahead of it — the
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "serve/answer_future.h"
-#include "sql/ast.h"
 #include "sql/binder.h"
 #include "sql/canonicalize.h"
 #include "util/annotations.h"
@@ -56,13 +55,12 @@ class BatchScheduler {
     size_t slots = 1;
   };
 
-  /// One admitted query. The statement is an owned deep copy (the caller's
-  /// may die while the ticket waits); the context shares the caller's
-  /// cancellation flag and deadline.
+  /// One admitted query. It owns its statement, bound in place against
+  /// the model's database by the serving front half (`bound.stmt`), so
+  /// execution never binds it again and the caller's may die while the
+  /// ticket waits; the context shares the caller's cancellation flag and
+  /// deadline.
   struct Ticket {
-    sql::SelectStatement stmt;
-    /// `stmt` bound against the model's database by the serving front
-    /// half, so execution never binds it again.
     sql::BoundQuery bound;
     util::ExecContext context;
     sql::QueryFingerprint fingerprint;
@@ -82,16 +80,18 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  /// Enqueue a ticket. Returns false — without resolving the promise —
-  /// when the queue is at capacity or the scheduler is shutting down; the
-  /// caller owns the rejection (shed / typed back-pressure error).
-  [[nodiscard]] bool Submit(Ticket ticket) ASQP_EXCLUDES(mu_);
+  /// Enqueue a ticket, moving from it. Returns false — without resolving
+  /// the promise or moving from `ticket` — when the queue is at capacity
+  /// or the scheduler is shutting down; the caller owns the rejection
+  /// (shed / typed back-pressure error) and still holds the ticket.
+  [[nodiscard]] bool Submit(Ticket&& ticket) ASQP_EXCLUDES(mu_);
 
   /// Run `ticket` as a one-member batch on the calling thread when a slot
   /// is free and no ticket is queued — the promise is resolved when this
   /// returns. Otherwise Submit it, so a late arrival never runs ahead of
-  /// a queued ticket. Returns false exactly when Submit would.
-  [[nodiscard]] bool RunInlineOrSubmit(Ticket ticket) ASQP_EXCLUDES(mu_);
+  /// a queued ticket. Returns false exactly when Submit would, leaving
+  /// `ticket` with the caller.
+  [[nodiscard]] bool RunInlineOrSubmit(Ticket&& ticket) ASQP_EXCLUDES(mu_);
 
   struct Stats {
     uint64_t submitted = 0;       ///< tickets accepted (queued or inline)

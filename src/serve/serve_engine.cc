@@ -76,7 +76,7 @@ ServeEngine::Stats ServeEngine::stats() const {
   return s;
 }
 
-ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
+ServeEngine::FrontHalf ServeEngine::Front(sql::SelectStatement&& stmt,
                                           const util::ExecContext& context) {
   // Load-shedding fast path: a request that is already dead on arrival
   // never costs a ticket or an execution slot. Raw deadline /
@@ -101,9 +101,12 @@ ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
   // scheduler, not under the model lock, or FineTune's writer
   // acquisition would deadlock against a full queue.
   std::shared_lock<std::shared_mutex> reader(model_mu_);
-  // Fingerprint the *bound* statement so table aliases normalize away.
-  // The ticket carries the bound query, so execution never binds again.
-  util::Result<sql::BoundQuery> bound = sql::Bind(stmt, *model_->database());
+  // Bind in place: the statement becomes the bound query's own, so a
+  // served query is never copied. Fingerprint the *bound* statement so
+  // table aliases normalize away. The ticket carries the bound query, so
+  // execution never binds again.
+  util::Result<sql::BoundQuery> bound =
+      sql::Bind(std::move(stmt), *model_->database());
   if (!bound.ok()) return bound.status();
   sql::QueryFingerprint fingerprint = sql::FingerprintQuery(bound.value().stmt);
   // Cache hits bypass admission entirely: they cost a shard lock and a
@@ -132,7 +135,6 @@ ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
     if (!ticket.group_key.empty()) ticket.group_key += ',';
     ticket.group_key += name;
   }
-  ticket.stmt = stmt.Clone();
   ticket.bound = std::move(bound).value();
   ticket.fingerprint = std::move(fingerprint);
   ticket.context = context;
@@ -141,40 +143,18 @@ ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
 
 util::Result<core::AnswerResult> ServeEngine::Answer(
     const sql::SelectStatement& stmt, const util::ExecContext& context) {
-  FrontHalf front = Front(stmt, context);
-  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
-    return std::move(*resolved);
-  }
-  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
-  AnswerFuture future = ticket.promise.future();
-  if (!scheduler_->RunInlineOrSubmit(std::move(ticket))) {
-    return RejectQueueFull(stmt);
-  }
-  // Take(), not Get(): this future has exactly one consumer, so the
-  // resolved answer moves out without a row-set copy.
-  return future.Take();
+  return Serve(stmt.Clone(), context);
 }
 
 util::Result<core::AnswerResult> ServeEngine::AnswerSql(
     const std::string& sql, const util::ExecContext& context) {
   ASQP_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  return Answer(stmt, context);
+  return Serve(std::move(stmt), context);
 }
 
 AnswerFuture ServeEngine::AnswerAsync(const sql::SelectStatement& stmt,
                                       const util::ExecContext& context) {
-  FrontHalf front = Front(stmt, context);
-  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
-    AnswerPromise promise;
-    promise.Resolve(std::move(*resolved));
-    return promise.future();
-  }
-  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
-  const AnswerPromise promise = ticket.promise;
-  if (!scheduler_->Submit(std::move(ticket))) {
-    promise.Resolve(RejectQueueFull(stmt));
-  }
-  return promise.future();
+  return ServeAsync(stmt.Clone(), context);
 }
 
 AnswerFuture ServeEngine::AnswerSqlAsync(const std::string& sql,
@@ -185,7 +165,41 @@ AnswerFuture ServeEngine::AnswerSqlAsync(const std::string& sql,
     promise.Resolve(stmt.status());
     return promise.future();
   }
-  return AnswerAsync(stmt.value(), context);
+  return ServeAsync(std::move(stmt).value(), context);
+}
+
+util::Result<core::AnswerResult> ServeEngine::Serve(
+    sql::SelectStatement&& stmt, const util::ExecContext& context) {
+  FrontHalf front = Front(std::move(stmt), context);
+  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
+    return std::move(*resolved);
+  }
+  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
+  AnswerFuture future = ticket.promise.future();
+  if (!scheduler_->RunInlineOrSubmit(std::move(ticket))) {
+    // Refused: the ticket is still ours.
+    return RejectQueueFull(ticket.bound.stmt);
+  }
+  // Take(), not Get(): this future has exactly one consumer, so the
+  // resolved answer moves out without a row-set copy.
+  return future.Take();
+}
+
+AnswerFuture ServeEngine::ServeAsync(sql::SelectStatement&& stmt,
+                                     const util::ExecContext& context) {
+  FrontHalf front = Front(std::move(stmt), context);
+  if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
+    AnswerPromise promise;
+    promise.Resolve(std::move(*resolved));
+    return promise.future();
+  }
+  BatchScheduler::Ticket& ticket = std::get<BatchScheduler::Ticket>(front);
+  const AnswerPromise promise = ticket.promise;
+  if (!scheduler_->Submit(std::move(ticket))) {
+    // Refused: the ticket is still ours.
+    promise.Resolve(RejectQueueFull(ticket.bound.stmt));
+  }
+  return promise.future();
 }
 
 util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
@@ -242,7 +256,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
     if (cancelled || ticket.context.deadline().Expired()) {
       admission_expired_.fetch_add(1, std::memory_order_relaxed);
       util::Result<core::AnswerResult> shed =
-          ShedOr(model, ticket.stmt,
+          ShedOr(model, ticket.bound.stmt,
                  cancelled ? "shed:cancelled" : "shed:admission_deadline",
                  util::Status::Degraded(
                      "admission budget exhausted while queued and the "
@@ -278,7 +292,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
   for (const Representative& rep : reps) {
     const BatchScheduler::Ticket& t = tickets[rep.ticket];
     queries.push_back(core::AsqpModel::BatchQuery{
-        &t.stmt, &t.bound, t.context, &t.fingerprint.canonical});
+        &t.bound, t.context, &t.fingerprint.canonical});
   }
   core::AsqpModel::BatchStats bstats;
   std::vector<util::Result<core::AnswerResult>> answers =
@@ -306,7 +320,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
         // failures itself, but one racing the ladder's tier boundaries
         // can still leak — convert it here so a client never sees a raw
         // timeout.
-        outcome = ShedOr(model, ticket.stmt,
+        outcome = ShedOr(model, ticket.bound.stmt,
                          "shed:" + core::FallbackReasonFromStatus(failure),
                          util::Status::Degraded(
                              "no tier could answer within the budget: " +

@@ -3,12 +3,15 @@
 // same path, whether the client calls Answer or AnswerAsync:
 //   1. The front half. A request whose deadline or cancellation is
 //      already dead on arrival is turned away with a typed error. Then,
-//      under the reader lock, the statement is bound, fingerprinted
-//      (sql::QueryFingerprint of the bound AST) and probed in a sharded
-//      answer cache: a repeat query, in any equivalent spelling, returns
-//      the cached AnswerResult without admission. A miss becomes a
-//      BatchScheduler ticket carrying the bound query and its table-set
-//      key. Cache entries are stamped with the model's approximation-set
+//      under the reader lock, the statement is bound in place
+//      (sql::Bind by move), fingerprinted (sql::QueryFingerprint of the
+//      bound AST) and probed in a sharded answer cache: a repeat query,
+//      in any equivalent spelling, returns the cached AnswerResult
+//      without admission. A miss becomes a BatchScheduler ticket carrying
+//      the bound query — the one statement the query has from then on —
+//      and its table-set key. SQL text is parsed once and its statement
+//      never copied; Answer(stmt) copies the caller's statement once.
+//      Cache entries are stamped with the model's approximation-set
 //      generation; FineTune() bumps it, invalidating every stale entry.
 //   2. Admission, by the BatchScheduler alone. At most max_inflight
 //      batches execute at once and up to queue_capacity tickets queue
@@ -165,14 +168,23 @@ class ServeEngine {
   using FrontHalf =
       std::variant<util::Result<core::AnswerResult>, BatchScheduler::Ticket>;
 
-  /// The front half Answer and AnswerAsync share: the dead-on-arrival
-  /// check, then — under the reader lock — bind, fingerprint, cache probe
-  /// and the table-set key.
-  FrontHalf Front(const sql::SelectStatement& stmt,
+  /// What every Answer* entry point runs on the statement it owns: the
+  /// front half, then admission (inline or queued) and the wait.
+  util::Result<core::AnswerResult> Serve(sql::SelectStatement&& stmt,
+                                         const util::ExecContext& context);
+  /// As Serve, but queued without blocking (never inline).
+  AnswerFuture ServeAsync(sql::SelectStatement&& stmt,
+                          const util::ExecContext& context);
+
+  /// The front half Serve and ServeAsync share: the dead-on-arrival
+  /// check, then — under the reader lock — bind `stmt` in place,
+  /// fingerprint, cache probe and the table-set key.
+  FrontHalf Front(sql::SelectStatement&& stmt,
                   const util::ExecContext& context);
 
   /// The answer for a query the scheduler refused (queue full): load-shed
   /// to the learned fallback, or typed kResourceExhausted back-pressure.
+  /// `stmt` is the refused ticket's bound statement.
   util::Result<core::AnswerResult> RejectQueueFull(
       const sql::SelectStatement& stmt);
 

@@ -1,6 +1,9 @@
 #include "sql/ast.h"
 
 #include <sstream>
+#include <utility>
+
+#include "util/thread_cached_allocator.h"
 
 namespace asqp {
 namespace sql {
@@ -49,15 +52,28 @@ const char* AggFuncName(AggFunc f) {
   return "?";
 }
 
+namespace {
+
+/// Every node comes from the thread-cached pool: parses and clones
+/// allocate a statement's nodes in a burst, and its release frees them
+/// together (see util::ThreadCachedAllocator).
+template <typename... Args>
+ExprPtr NewExpr(Args&&... args) {
+  return std::allocate_shared<Expr>(util::ThreadCachedAllocator<Expr>(),
+                                    std::forward<Args>(args)...);
+}
+
+}  // namespace
+
 ExprPtr Expr::Literal(storage::Value v) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kLiteral;
   e->literal = std::move(v);
   return e;
 }
 
 ExprPtr Expr::ColumnRef(std::string qualifier, std::string column) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kColumnRef;
   e->qualifier = std::move(qualifier);
   e->column = std::move(column);
@@ -65,7 +81,7 @@ ExprPtr Expr::ColumnRef(std::string qualifier, std::string column) {
 }
 
 ExprPtr Expr::Binary(BinOp op, ExprPtr left, ExprPtr right) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kBinary;
   e->op = op;
   e->left = std::move(left);
@@ -74,7 +90,7 @@ ExprPtr Expr::Binary(BinOp op, ExprPtr left, ExprPtr right) {
 }
 
 ExprPtr Expr::Not(ExprPtr operand) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kNot;
   e->left = std::move(operand);
   return e;
@@ -82,7 +98,7 @@ ExprPtr Expr::Not(ExprPtr operand) {
 
 ExprPtr Expr::In(ExprPtr operand, std::vector<storage::Value> list,
                  bool negated) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kIn;
   e->left = std::move(operand);
   e->in_list = std::move(list);
@@ -92,7 +108,7 @@ ExprPtr Expr::In(ExprPtr operand, std::vector<storage::Value> list,
 
 ExprPtr Expr::Between(ExprPtr operand, storage::Value lo, storage::Value hi,
                       bool negated) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kBetween;
   e->left = std::move(operand);
   e->between_lo = std::move(lo);
@@ -102,7 +118,7 @@ ExprPtr Expr::Between(ExprPtr operand, storage::Value lo, storage::Value hi,
 }
 
 ExprPtr Expr::Like(ExprPtr operand, std::string pattern, bool negated) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kLike;
   e->left = std::move(operand);
   e->like_pattern = std::move(pattern);
@@ -111,7 +127,7 @@ ExprPtr Expr::Like(ExprPtr operand, std::string pattern, bool negated) {
 }
 
 ExprPtr Expr::IsNull(ExprPtr operand, bool negated) {
-  auto e = std::make_shared<Expr>();
+  ExprPtr e = NewExpr();
   e->kind = ExprKind::kIsNull;
   e->left = std::move(operand);
   e->negated = negated;
@@ -119,7 +135,7 @@ ExprPtr Expr::IsNull(ExprPtr operand, bool negated) {
 }
 
 ExprPtr Expr::Clone() const {
-  auto e = std::make_shared<Expr>(*this);
+  ExprPtr e = NewExpr(*this);
   if (left) e->left = left->Clone();
   if (right) e->right = right->Clone();
   return e;

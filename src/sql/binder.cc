@@ -1,6 +1,7 @@
 #include "sql/binder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sql/parser.h"
 #include "util/string_util.h"
@@ -15,9 +16,8 @@ using util::Status;
 
 class Binder {
  public:
-  Binder(const SelectStatement& stmt, const storage::Database& db)
-      : db_(db), out_{} {
-    out_.stmt = stmt.Clone();
+  Binder(SelectStatement&& stmt, const storage::Database& db) : db_(db) {
+    out_.stmt = std::move(stmt);
   }
 
   Result<BoundQuery> Run() {
@@ -45,13 +45,9 @@ class Binder {
       ASQP_RETURN_NOT_OK(BindExpr(out_.stmt.having, /*lenient=*/true));
     }
 
-    // Classify WHERE conjuncts.
+    // Classify WHERE conjuncts, in CollectConjuncts order.
     out_.filters.resize(out_.tables.size());
-    std::vector<ExprPtr> conjuncts;
-    CollectConjuncts(out_.stmt.where, &conjuncts);
-    for (ExprPtr& c : conjuncts) {
-      ASQP_RETURN_NOT_OK(Classify(c));
-    }
+    ClassifyConjuncts(out_.stmt.where);
     return std::move(out_);
   }
 
@@ -110,8 +106,20 @@ class Binder {
     ReferencedTables(expr->right, tables);
   }
 
-  Status Classify(const ExprPtr& conjunct) {
-    std::vector<int> refs;
+  /// Classify each top-level AND conjunct of `expr`, left to right.
+  void ClassifyConjuncts(const ExprPtr& expr) {
+    if (!expr) return;
+    if (expr->kind == ExprKind::kBinary && expr->op == BinOp::kAnd) {
+      ClassifyConjuncts(expr->left);
+      ClassifyConjuncts(expr->right);
+      return;
+    }
+    Classify(expr);
+  }
+
+  void Classify(const ExprPtr& conjunct) {
+    std::vector<int>& refs = refs_;  // reused across conjuncts
+    refs.clear();
     ReferencedTables(conjunct, &refs);
     std::sort(refs.begin(), refs.end());
     refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
@@ -120,11 +128,11 @@ class Binder {
       // Constant predicate; keep as residual (rare, cheap to evaluate).
       out_.residual.push_back(conjunct);
       out_.residual_tables.push_back({});
-      return Status::OK();
+      return;
     }
     if (refs.size() == 1) {
       out_.filters[refs[0]].push_back(conjunct);
-      return Status::OK();
+      return;
     }
     // t1.c = t2.c equi-join?
     if (refs.size() == 2 && conjunct->kind == ExprKind::kBinary &&
@@ -137,29 +145,34 @@ class Binder {
       jp.right_table = conjunct->right->table_idx;
       jp.right_col = conjunct->right->col_idx;
       out_.joins.push_back(jp);
-      return Status::OK();
+      return;
     }
     out_.residual.push_back(conjunct);
     out_.residual_tables.push_back(refs);
-    return Status::OK();
   }
 
   const storage::Database& db_;
   BoundQuery out_;
+  /// Tables one conjunct references (Classify's scratch).
+  std::vector<int> refs_;
 };
 
 }  // namespace
 
+Result<BoundQuery> Bind(SelectStatement&& stmt, const storage::Database& db) {
+  Binder binder(std::move(stmt), db);
+  return binder.Run();
+}
+
 Result<BoundQuery> Bind(const SelectStatement& stmt,
                         const storage::Database& db) {
-  Binder binder(stmt, db);
-  return binder.Run();
+  return Bind(stmt.Clone(), db);
 }
 
 Result<BoundQuery> ParseAndBind(const std::string& sql,
                                 const storage::Database& db) {
   ASQP_ASSIGN_OR_RETURN(SelectStatement stmt, Parse(sql));
-  return Bind(stmt, db);
+  return Bind(std::move(stmt), db);
 }
 
 }  // namespace sql

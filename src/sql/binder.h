@@ -51,7 +51,7 @@ struct AccessPath {
 
 /// \brief A fully resolved query, ready for execution.
 struct BoundQuery {
-  SelectStatement stmt;  // deep copy with annotated column refs
+  SelectStatement stmt;  // the bound statement, column refs annotated
   std::vector<std::shared_ptr<storage::Table>> tables;  // aligned with stmt.from
 
   /// filters[t] = conjuncts referencing only table t.
@@ -77,9 +77,19 @@ struct BoundQuery {
   size_t num_tables() const { return tables.size(); }
 };
 
-/// Resolve `stmt` against `db`.
+/// Resolve `stmt` against `db`, annotating the statement in place: the
+/// result owns it as BoundQuery::stmt, and nothing is copied. The caller
+/// gives the statement up; on failure it is gone. The serving path binds
+/// its freshly parsed statements this way. The annotations are written
+/// into the Expr nodes, so a tree whose nodes other statements share must
+/// be bound through the copying overload below.
+[[nodiscard]] util::Result<BoundQuery> Bind(SelectStatement&& stmt,
+                                            const storage::Database& db);
+
+/// Resolve a deep copy of `stmt` against `db` (Clone(), then the overload
+/// above); `stmt` is left untouched.
 [[nodiscard]] util::Result<BoundQuery> Bind(const SelectStatement& stmt,
-                              const storage::Database& db);
+                                            const storage::Database& db);
 
 /// Convenience: parse + bind.
 [[nodiscard]] util::Result<BoundQuery> ParseAndBind(const std::string& sql,

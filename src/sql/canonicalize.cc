@@ -1,8 +1,10 @@
 #include "sql/canonicalize.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "util/string_util.h"
@@ -18,13 +20,22 @@ namespace {
 /// numerically across INT64/DOUBLE).
 enum class LiteralMode { kExact, kCompare };
 
-void AppendDouble(double d, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out->append(buf);
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
 }
 
-void AppendQuoted(const std::string& s, std::string* out) {
+void AppendDouble(double d, std::string* out) {
+  // Exactly printf's "%.17g" (to_chars with a precision is specified as
+  // printf in the C locale), without the format-string machinery.
+  char buf[40];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof(buf), d, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+}
+
+void AppendQuoted(std::string_view s, std::string* out) {
   out->push_back('\'');
   for (char c : s) {
     if (c == '\'') out->push_back('\'');
@@ -44,13 +55,8 @@ void AppendLiteral(const storage::Value& v, LiteralMode mode,
       AppendQuoted(v.AsString(), out);
       return;
     case storage::ValueType::kInt64:
-      if (mode == LiteralMode::kCompare) {
-        out->append("n:");
-        out->append(std::to_string(v.AsInt64()));
-      } else {
-        out->append("i:");
-        out->append(std::to_string(v.AsInt64()));
-      }
+      out->append(mode == LiteralMode::kCompare ? "n:" : "i:");
+      AppendInt(v.AsInt64(), out);
       return;
     case storage::ValueType::kDouble: {
       const double d = v.AsDouble();
@@ -61,7 +67,7 @@ void AppendLiteral(const storage::Value& v, LiteralMode mode,
         // integer. (Beyond 2^53 doubles are not exact anyway.)
         if (std::isfinite(d) && d == std::floor(d) &&
             std::abs(d) < 9007199254740992.0) {
-          out->append(std::to_string(static_cast<int64_t>(d)));
+          AppendInt(static_cast<int64_t>(d), out);
         } else {
           AppendDouble(d, out);
         }
@@ -75,39 +81,6 @@ void AppendLiteral(const storage::Value& v, LiteralMode mode,
   out->append("?");
 }
 
-std::string CanonExpr(const Expr& e, LiteralMode mode);
-
-/// Render a comparison/IN/BETWEEN operand: literals in compare mode,
-/// everything else descends in exact mode (literals inside arithmetic
-/// keep their type — `a + 5` and `a + 5.0` can yield different Values).
-std::string CanonComparand(const Expr& e) {
-  return CanonExpr(e, e.kind == ExprKind::kLiteral ? LiteralMode::kCompare
-                                                   : LiteralMode::kExact);
-}
-
-/// The comparison parts a BETWEEN expands into. Under the evaluator's
-/// semantics `x BETWEEN lo AND hi` is exactly `x >= lo AND x <= hi` (both
-/// spellings are false whenever the operand or either bound is NULL), and
-/// `x NOT BETWEEN lo AND hi` with non-NULL bounds is exactly
-/// `x < lo OR x > hi`. Rendering the parts through the comparison rules
-/// (>/>= flip to </<= with swapped operands) collapses the two spellings
-/// to one fingerprint.
-void BetweenParts(const Expr& e, std::vector<std::string>* parts) {
-  const std::string operand = CanonComparand(*e.left);
-  std::string lo, hi;
-  AppendLiteral(e.between_lo, LiteralMode::kCompare, &lo);
-  AppendLiteral(e.between_hi, LiteralMode::kCompare, &hi);
-  if (!e.negated) {
-    // x >= lo == lo <= x;  x <= hi.
-    parts->push_back("(<= " + lo + " " + operand + ")");
-    parts->push_back("(<= " + operand + " " + hi + ")");
-  } else {
-    // x < lo;  x > hi == hi < x.
-    parts->push_back("(< " + operand + " " + lo + ")");
-    parts->push_back("(< " + hi + " " + operand + ")");
-  }
-}
-
 /// Whether a kBetween may expand into its comparison parts. Non-negated:
 /// always (with a NULL bound both spellings are constant-false). Negated:
 /// only when both bounds are non-NULL — NOT BETWEEN with a NULL bound is
@@ -117,167 +90,297 @@ bool BetweenExpands(const Expr& e) {
   return !e.negated || (!e.between_lo.is_null() && !e.between_hi.is_null());
 }
 
-/// Flatten a same-op AND/OR chain into rendered operand parts. A BETWEEN
-/// operand whose expansion op matches the chain (AND for BETWEEN, OR for
-/// NOT BETWEEN) contributes its paired-inequality parts, so both
-/// spellings flatten identically.
-void FlattenParts(const Expr& e, BinOp op, std::vector<std::string>* parts) {
-  if (e.kind == ExprKind::kBinary && e.op == op) {
-    FlattenParts(*e.left, op, parts);
-    FlattenParts(*e.right, op, parts);
-    return;
-  }
-  if (e.kind == ExprKind::kBetween && BetweenExpands(e) &&
-      ((op == BinOp::kAnd && !e.negated) || (op == BinOp::kOr && e.negated))) {
-    BetweenParts(e, parts);
-    return;
-  }
-  parts->push_back(CanonExpr(e, LiteralMode::kExact));
-}
+/// Renders canonical text into one output buffer. Order-insensitive
+/// groups (AND/OR parts, IN values, the operands of =, <>, + and *) are
+/// rendered in place, their parts recorded as slices of the buffer, and
+/// then rewritten in sorted order through one scratch buffer — no
+/// per-node strings.
+class Renderer {
+ public:
+  explicit Renderer(std::string* out) : out_(*out) { slices_.reserve(16); }
 
-std::string CanonExpr(const Expr& e, LiteralMode mode) {
-  std::string out;
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      AppendLiteral(e.literal, mode, &out);
-      return out;
-    case ExprKind::kColumnRef:
-      if (e.table_idx >= 0 && e.col_idx >= 0) {
-        // Positional form: alias spelling is gone after binding.
-        out = "t" + std::to_string(e.table_idx) + ".c" +
-              std::to_string(e.col_idx);
+  void Render(const Expr& e, LiteralMode mode) {
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+        AppendLiteral(e.literal, mode, &out_);
+        return;
+      case ExprKind::kColumnRef:
+        if (e.table_idx >= 0 && e.col_idx >= 0) {
+          // Positional form: alias spelling is gone after binding.
+          out_.push_back('t');
+          AppendInt(e.table_idx, &out_);
+          out_.append(".c");
+          AppendInt(e.col_idx, &out_);
+        } else {
+          // Unbound (e.g. HAVING refs over output columns): spelled form.
+          out_.append("col:");
+          out_.append(e.qualifier);
+          out_.push_back(':');
+          out_.append(e.column);
+        }
+        return;
+      case ExprKind::kBinary:
+        RenderBinary(e);
+        return;
+      case ExprKind::kNot:
+        out_.append("(NOT ");
+        Render(*e.left, LiteralMode::kExact);
+        out_.push_back(')');
+        return;
+      case ExprKind::kIn: {
+        out_.append(e.negated ? "(NIN " : "(IN ");
+        Comparand(*e.left);
+        out_.append(" [");
+        // IN lists are sets: values sort and deduplicate.
+        const size_t base = slices_.size();
+        const size_t region = out_.size();
+        for (const storage::Value& v : e.in_list) {
+          if (out_.size() > region) out_.push_back(',');
+          const size_t begin = out_.size();
+          AppendLiteral(v, LiteralMode::kCompare, &out_);
+          slices_.push_back(Slice{begin, out_.size()});
+        }
+        SortSlices(base, region, ',', /*sep_first=*/false, /*dedup=*/true);
+        out_.append("])");
+        return;
+      }
+      case ExprKind::kBetween:
+        if (BetweenExpands(e)) {
+          // Standalone BETWEEN renders as the AND/OR of its expansion
+          // parts, matching what the paired-inequality spelling renders at
+          // the same position.
+          out_.append(e.negated ? "(OR" : "(AND");
+          const size_t base = slices_.size();
+          const size_t region = out_.size();
+          BetweenParts(e);
+          SortSlices(base, region, ' ', /*sep_first=*/true, /*dedup=*/false);
+          out_.push_back(')');
+          return;
+        }
+        // Negated BETWEEN with a NULL bound: no sound expansion exists.
+        out_.append("(NBETWEEN ");
+        Comparand(*e.left);
+        out_.push_back(' ');
+        AppendLiteral(e.between_lo, LiteralMode::kCompare, &out_);
+        out_.push_back(' ');
+        AppendLiteral(e.between_hi, LiteralMode::kCompare, &out_);
+        out_.push_back(')');
+        return;
+      case ExprKind::kLike:
+        out_.append(e.negated ? "(NLIKE " : "(LIKE ");
+        Comparand(*e.left);
+        out_.push_back(' ');
+        AppendQuoted(e.like_pattern, &out_);
+        out_.push_back(')');
+        return;
+      case ExprKind::kIsNull:
+        out_.append(e.negated ? "(NOTNULL " : "(ISNULL ");
+        Render(*e.left, LiteralMode::kExact);
+        out_.push_back(')');
+        return;
+    }
+  }
+
+ private:
+  /// A rendered part: out_[begin, end).
+  struct Slice {
+    size_t begin;
+    size_t end;
+  };
+
+  std::string_view View(const Slice& s) const {
+    return std::string_view(out_).substr(s.begin, s.end - s.begin);
+  }
+
+  /// Render a comparison/IN/BETWEEN operand: literals in compare mode,
+  /// everything else descends in exact mode (literals inside arithmetic
+  /// keep their type — `a + 5` and `a + 5.0` can yield different Values).
+  void Comparand(const Expr& e) {
+    Render(e, e.kind == ExprKind::kLiteral ? LiteralMode::kCompare
+                                           : LiteralMode::kExact);
+  }
+
+  /// Append " <part>" and record the part as a slice.
+  template <typename Fn>
+  void Part(Fn&& render) {
+    out_.push_back(' ');
+    const size_t begin = out_.size();
+    render();
+    slices_.push_back(Slice{begin, out_.size()});
+  }
+
+  /// The comparison parts a BETWEEN expands into, each as " <part>".
+  /// Under the evaluator's semantics `x BETWEEN lo AND hi` is exactly
+  /// `x >= lo AND x <= hi` (both spellings are false whenever the operand
+  /// or either bound is NULL), and `x NOT BETWEEN lo AND hi` with non-NULL
+  /// bounds is exactly `x < lo OR x > hi`. Rendering the parts through the
+  /// comparison rules (>/>= flip to </<= with swapped operands) collapses
+  /// the two spellings to one fingerprint.
+  void BetweenParts(const Expr& e) {
+    if (!e.negated) {
+      // x >= lo == lo <= x;  x <= hi.
+      Part([&] {
+        out_.append("(<= ");
+        AppendLiteral(e.between_lo, LiteralMode::kCompare, &out_);
+        out_.push_back(' ');
+        Comparand(*e.left);
+        out_.push_back(')');
+      });
+      Part([&] {
+        out_.append("(<= ");
+        Comparand(*e.left);
+        out_.push_back(' ');
+        AppendLiteral(e.between_hi, LiteralMode::kCompare, &out_);
+        out_.push_back(')');
+      });
+    } else {
+      // x < lo;  x > hi == hi < x.
+      Part([&] {
+        out_.append("(< ");
+        Comparand(*e.left);
+        out_.push_back(' ');
+        AppendLiteral(e.between_lo, LiteralMode::kCompare, &out_);
+        out_.push_back(')');
+      });
+      Part([&] {
+        out_.append("(< ");
+        AppendLiteral(e.between_hi, LiteralMode::kCompare, &out_);
+        out_.push_back(' ');
+        Comparand(*e.left);
+        out_.push_back(')');
+      });
+    }
+  }
+
+  /// Flatten a same-op AND/OR chain into " <part>"s. A BETWEEN operand
+  /// whose expansion op matches the chain (AND for BETWEEN, OR for NOT
+  /// BETWEEN) contributes its paired-inequality parts, so both spellings
+  /// flatten identically.
+  void FlattenParts(const Expr& e, BinOp op) {
+    if (e.kind == ExprKind::kBinary && e.op == op) {
+      FlattenParts(*e.left, op);
+      FlattenParts(*e.right, op);
+      return;
+    }
+    if (e.kind == ExprKind::kBetween && BetweenExpands(e) &&
+        ((op == BinOp::kAnd && !e.negated) ||
+         (op == BinOp::kOr && e.negated))) {
+      BetweenParts(e);
+      return;
+    }
+    Part([&] { Render(e, LiteralMode::kExact); });
+  }
+
+  /// Two operands of a commutative operator as "<min> <max>".
+  void CommutedOperands(const Expr& left, const Expr& right, bool compare) {
+    const size_t base = slices_.size();
+    const size_t region = out_.size();
+    for (const Expr* operand : {&left, &right}) {
+      if (out_.size() > region) out_.push_back(' ');
+      const size_t begin = out_.size();
+      if (compare) {
+        Comparand(*operand);
       } else {
-        // Unbound (e.g. HAVING refs over output columns): spelled form.
-        out = "col:" + e.qualifier + ":" + e.column;
+        Render(*operand, LiteralMode::kExact);
       }
-      return out;
-    case ExprKind::kBinary: {
-      switch (e.op) {
-        case BinOp::kAnd:
-        case BinOp::kOr: {
-          std::vector<std::string> parts;
-          FlattenParts(e, e.op, &parts);
-          std::sort(parts.begin(), parts.end());
-          out = e.op == BinOp::kAnd ? "(AND" : "(OR";
-          for (const std::string& p : parts) {
-            out.push_back(' ');
-            out.append(p);
-          }
-          out.push_back(')');
-          return out;
-        }
-        case BinOp::kEq:
-        case BinOp::kNe: {
-          std::string l = CanonComparand(*e.left);
-          std::string r = CanonComparand(*e.right);
-          if (r < l) std::swap(l, r);
-          out = e.op == BinOp::kEq ? "(= " : "(<> ";
-          out += l + " " + r + ")";
-          return out;
-        }
-        case BinOp::kLt:
-        case BinOp::kLe:
-        case BinOp::kGt:
-        case BinOp::kGe: {
-          // Normalize direction: a > b  ==  b < a;  a >= b  ==  b <= a.
-          const bool flip = e.op == BinOp::kGt || e.op == BinOp::kGe;
-          const Expr& lhs = flip ? *e.right : *e.left;
-          const Expr& rhs = flip ? *e.left : *e.right;
-          const bool strict = e.op == BinOp::kLt || e.op == BinOp::kGt;
-          out = strict ? "(< " : "(<= ";
-          out += CanonComparand(lhs) + " " + CanonComparand(rhs) + ")";
-          return out;
-        }
-        case BinOp::kAdd:
-        case BinOp::kMul: {
-          // Commutative (IEEE addition/multiplication of two operands is
-          // order-insensitive); associativity is NOT assumed, so chains
-          // are not flattened.
-          std::string l = CanonExpr(*e.left, LiteralMode::kExact);
-          std::string r = CanonExpr(*e.right, LiteralMode::kExact);
-          if (r < l) std::swap(l, r);
-          out = e.op == BinOp::kAdd ? "(+ " : "(* ";
-          out += l + " " + r + ")";
-          return out;
-        }
-        case BinOp::kSub:
-        case BinOp::kDiv:
-          out = e.op == BinOp::kSub ? "(- " : "(/ ";
-          out += CanonExpr(*e.left, LiteralMode::kExact) + " " +
-                 CanonExpr(*e.right, LiteralMode::kExact) + ")";
-          return out;
-      }
-      return out;
+      slices_.push_back(Slice{begin, out_.size()});
     }
-    case ExprKind::kNot:
-      return "(NOT " + CanonExpr(*e.left, LiteralMode::kExact) + ")";
-    case ExprKind::kIn: {
-      std::vector<std::string> vals;
-      vals.reserve(e.in_list.size());
-      for (const storage::Value& v : e.in_list) {
-        std::string s;
-        AppendLiteral(v, LiteralMode::kCompare, &s);
-        vals.push_back(std::move(s));
-      }
-      std::sort(vals.begin(), vals.end());
-      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-      out = e.negated ? "(NIN " : "(IN ";
-      out += CanonComparand(*e.left) + " [";
-      for (size_t i = 0; i < vals.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        out.append(vals[i]);
-      }
-      out += "])";
-      return out;
-    }
-    case ExprKind::kBetween: {
-      if (BetweenExpands(e)) {
-        // Standalone BETWEEN renders as the AND/OR of its expansion parts,
-        // matching what the paired-inequality spelling renders at the
-        // same position.
-        std::vector<std::string> parts;
-        BetweenParts(e, &parts);
-        std::sort(parts.begin(), parts.end());
-        out = e.negated ? "(OR" : "(AND";
-        for (const std::string& p : parts) {
-          out.push_back(' ');
-          out.append(p);
-        }
-        out.push_back(')');
-        return out;
-      }
-      // Negated BETWEEN with a NULL bound: no sound expansion exists.
-      out = "(NBETWEEN ";
-      out += CanonComparand(*e.left);
-      out.push_back(' ');
-      AppendLiteral(e.between_lo, LiteralMode::kCompare, &out);
-      out.push_back(' ');
-      AppendLiteral(e.between_hi, LiteralMode::kCompare, &out);
-      out.push_back(')');
-      return out;
-    }
-    case ExprKind::kLike: {
-      out = e.negated ? "(NLIKE " : "(LIKE ";
-      out += CanonComparand(*e.left) + " ";
-      AppendQuoted(e.like_pattern, &out);
-      out.push_back(')');
-      return out;
-    }
-    case ExprKind::kIsNull:
-      return (e.negated ? "(NOTNULL " : "(ISNULL ") +
-             CanonExpr(*e.left, LiteralMode::kExact) + ")";
+    SortSlices(base, region, ' ', /*sep_first=*/false, /*dedup=*/false);
   }
-  return out;
-}
 
-void AppendSelectItem(const SelectItem& item, std::string* out) {
+  void RenderBinary(const Expr& e) {
+    switch (e.op) {
+      case BinOp::kAnd:
+      case BinOp::kOr: {
+        out_.append(e.op == BinOp::kAnd ? "(AND" : "(OR");
+        const size_t base = slices_.size();
+        const size_t region = out_.size();
+        FlattenParts(e, e.op);
+        SortSlices(base, region, ' ', /*sep_first=*/true, /*dedup=*/false);
+        out_.push_back(')');
+        return;
+      }
+      case BinOp::kEq:
+      case BinOp::kNe:
+        out_.append(e.op == BinOp::kEq ? "(= " : "(<> ");
+        CommutedOperands(*e.left, *e.right, /*compare=*/true);
+        out_.push_back(')');
+        return;
+      case BinOp::kLt:
+      case BinOp::kLe:
+      case BinOp::kGt:
+      case BinOp::kGe: {
+        // Normalize direction: a > b  ==  b < a;  a >= b  ==  b <= a.
+        const bool flip = e.op == BinOp::kGt || e.op == BinOp::kGe;
+        const bool strict = e.op == BinOp::kLt || e.op == BinOp::kGt;
+        out_.append(strict ? "(< " : "(<= ");
+        Comparand(flip ? *e.right : *e.left);
+        out_.push_back(' ');
+        Comparand(flip ? *e.left : *e.right);
+        out_.push_back(')');
+        return;
+      }
+      case BinOp::kAdd:
+      case BinOp::kMul:
+        // Commutative (IEEE addition/multiplication of two operands is
+        // order-insensitive); associativity is NOT assumed, so chains
+        // are not flattened.
+        out_.append(e.op == BinOp::kAdd ? "(+ " : "(* ");
+        CommutedOperands(*e.left, *e.right, /*compare=*/false);
+        out_.push_back(')');
+        return;
+      case BinOp::kSub:
+      case BinOp::kDiv:
+        out_.append(e.op == BinOp::kSub ? "(- " : "(/ ");
+        Render(*e.left, LiteralMode::kExact);
+        out_.push_back(' ');
+        Render(*e.right, LiteralMode::kExact);
+        out_.push_back(')');
+        return;
+    }
+  }
+
+  /// Rewrite out_[region, end) — the parts slices_[base, end) separated by
+  /// `sep` (and preceded by it when `sep_first`) — with the parts in
+  /// sorted order, dropping repeats when `dedup`. The region is the tail
+  /// of the buffer, and every nested group inside it is already sorted.
+  void SortSlices(size_t base, size_t region, char sep, bool sep_first,
+                  bool dedup) {
+    const auto first = slices_.begin() + static_cast<std::ptrdiff_t>(base);
+    auto last = slices_.end();
+    std::sort(first, last, [this](const Slice& a, const Slice& b) {
+      return View(a) < View(b);
+    });
+    if (dedup) {
+      last = std::unique(first, last, [this](const Slice& a, const Slice& b) {
+        return View(a) == View(b);
+      });
+    }
+    scratch_.assign(out_, region, std::string::npos);
+    out_.resize(region);
+    for (auto it = first; it != last; ++it) {
+      if (sep_first || it != first) out_.push_back(sep);
+      out_.append(scratch_, it->begin - region, it->end - it->begin);
+    }
+    slices_.resize(base);
+  }
+
+  std::string& out_;
+  /// Copy of the region being reordered (SortSlices).
+  std::string scratch_;
+  /// Parts of the groups being rendered, innermost last.
+  std::vector<Slice> slices_;
+};
+
+void AppendSelectItem(const SelectItem& item, Renderer* render,
+                      std::string* out) {
   out->append(AggFuncName(item.agg));
   out->push_back(':');
   if (item.distinct) out->append("D:");
   if (item.star) {
     out->push_back('*');
   } else if (item.expr != nullptr) {
-    out->append(CanonExpr(*item.expr, LiteralMode::kExact));
+    render->Render(*item.expr, LiteralMode::kExact);
   }
   // The alias is the output column name — part of the result bytes.
   if (!item.alias.empty()) {
@@ -289,45 +392,55 @@ void AppendSelectItem(const SelectItem& item, std::string* out) {
 }  // namespace
 
 std::string CanonicalizeExpr(const Expr& expr) {
-  return CanonExpr(expr, LiteralMode::kExact);
+  std::string out;
+  Renderer(&out).Render(expr, LiteralMode::kExact);
+  return out;
 }
 
 std::string CanonicalizeStatement(const SelectStatement& stmt) {
-  std::string out = "SELECT";
-  if (stmt.distinct) out += " DISTINCT";
+  std::string out;
+  out.reserve(256);
+  Renderer render(&out);
+  out.append("SELECT");
+  if (stmt.distinct) out.append(" DISTINCT");
   for (size_t i = 0; i < stmt.items.size(); ++i) {
-    out += i == 0 ? " " : "; ";
-    AppendSelectItem(stmt.items[i], &out);
+    out.append(i == 0 ? " " : "; ");
+    AppendSelectItem(stmt.items[i], &render, &out);
   }
   // FROM order is significant (join seeding, `SELECT *` column order);
   // aliases are not (refs render positionally).
-  out += " FROM";
+  out.append(" FROM");
   for (const TableRef& t : stmt.from) {
     out.push_back(' ');
     out.append(t.table);
   }
   if (stmt.where != nullptr) {
-    out += " WHERE " + CanonExpr(*stmt.where, LiteralMode::kExact);
+    out.append(" WHERE ");
+    render.Render(*stmt.where, LiteralMode::kExact);
   }
   if (!stmt.group_by.empty()) {
-    out += " GROUP BY";
+    out.append(" GROUP BY");
     for (const ExprPtr& g : stmt.group_by) {
       out.push_back(' ');
-      out.append(CanonExpr(*g, LiteralMode::kExact));
+      render.Render(*g, LiteralMode::kExact);
     }
   }
   if (stmt.having != nullptr) {
-    out += " HAVING " + CanonExpr(*stmt.having, LiteralMode::kExact);
+    out.append(" HAVING ");
+    render.Render(*stmt.having, LiteralMode::kExact);
   }
   if (!stmt.order_by.empty()) {
-    out += " ORDER BY";
+    out.append(" ORDER BY");
     for (const OrderItem& o : stmt.order_by) {
       out.push_back(' ');
-      out.append(CanonExpr(*o.expr, LiteralMode::kExact));
-      if (o.desc) out += " DESC";
+      render.Render(*o.expr, LiteralMode::kExact);
+      if (o.desc) out.append(" DESC");
     }
   }
-  if (stmt.limit >= 0) out += " LIMIT " + std::to_string(stmt.limit);
+  if (stmt.limit >= 0) {
+    out.append(" LIMIT ");
+    AppendInt(stmt.limit, &out);
+  }
   return out;
 }
 

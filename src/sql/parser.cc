@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "sql/lexer.h"
 #include "util/string_util.h"
 
@@ -8,102 +11,130 @@ namespace sql {
 
 namespace {
 
-using util::Result;
 using util::Status;
 
+AggFunc AggregateOf(Keyword kw) {
+  switch (kw) {
+    case Keyword::kCount: return AggFunc::kCount;
+    case Keyword::kSum: return AggFunc::kSum;
+    case Keyword::kAvg: return AggFunc::kAvg;
+    case Keyword::kMin: return AggFunc::kMin;
+    case Keyword::kMax: return AggFunc::kMax;
+    default: return AggFunc::kNone;
+  }
+}
+
+/// Whether NOT before `next` negates the predicate that follows (NOT IN,
+/// NOT BETWEEN, NOT LIKE). A string literal spelled 'IN', 'BETWEEN' or
+/// 'LIKE' also matches, as it did when tokens compared by text: the parse
+/// then fails at that literal, and the error offset stays where it was.
+bool NegatesPredicate(const Token& next) {
+  if (next.type == TokenType::kKeyword) {
+    return next.keyword == Keyword::kIn || next.keyword == Keyword::kBetween ||
+           next.keyword == Keyword::kLike;
+  }
+  return next.type == TokenType::kString &&
+         (next.text == "IN" || next.text == "BETWEEN" || next.text == "LIKE");
+}
+
+/// Recursive descent over the token vector. Every production writes its
+/// result through an out-parameter and returns a Status, so the hot path
+/// builds no Result per precedence level.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
-  Result<SelectStatement> ParseSelect() {
-    SelectStatement stmt;
-    ASQP_RETURN_NOT_OK(ExpectKeyword("SELECT"));
-    if (AcceptKeyword("DISTINCT")) stmt.distinct = true;
+  Status ParseSelect(SelectStatement* stmt) {
+    ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kSelect));
+    if (AcceptKeyword(Keyword::kDistinct)) stmt->distinct = true;
 
     // Select list.
+    stmt->items.reserve(4);
     while (true) {
-      ASQP_ASSIGN_OR_RETURN(SelectItem item, ParseSelectItem());
-      stmt.items.push_back(std::move(item));
-      if (!AcceptSymbol(",")) break;
+      stmt->items.emplace_back();
+      ASQP_RETURN_NOT_OK(ParseSelectItem(&stmt->items.back()));
+      if (!AcceptSymbol(',')) break;
     }
 
-    ASQP_RETURN_NOT_OK(ExpectKeyword("FROM"));
+    ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kFrom));
     // FROM list with optional JOIN ... ON (normalized to cross product +
     // WHERE conjuncts).
     std::vector<ExprPtr> join_conjuncts;
-    ASQP_ASSIGN_OR_RETURN(TableRef first, ParseTableRef());
-    stmt.from.push_back(std::move(first));
+    stmt->from.reserve(4);
+    stmt->from.emplace_back();
+    ASQP_RETURN_NOT_OK(ParseTableRef(&stmt->from.back()));
     while (true) {
-      if (AcceptSymbol(",")) {
-        ASQP_ASSIGN_OR_RETURN(TableRef t, ParseTableRef());
-        stmt.from.push_back(std::move(t));
+      if (AcceptSymbol(',')) {
+        stmt->from.emplace_back();
+        ASQP_RETURN_NOT_OK(ParseTableRef(&stmt->from.back()));
         continue;
       }
-      if (PeekKeyword("JOIN") || PeekKeyword("INNER")) {
-        AcceptKeyword("INNER");
-        ASQP_RETURN_NOT_OK(ExpectKeyword("JOIN"));
-        ASQP_ASSIGN_OR_RETURN(TableRef t, ParseTableRef());
-        stmt.from.push_back(std::move(t));
-        ASQP_RETURN_NOT_OK(ExpectKeyword("ON"));
-        ASQP_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
-        join_conjuncts.push_back(std::move(cond));
+      if (PeekKeyword(Keyword::kJoin) || PeekKeyword(Keyword::kInner)) {
+        AcceptKeyword(Keyword::kInner);
+        ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kJoin));
+        stmt->from.emplace_back();
+        ASQP_RETURN_NOT_OK(ParseTableRef(&stmt->from.back()));
+        ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kOn));
+        join_conjuncts.emplace_back();
+        ASQP_RETURN_NOT_OK(ParseExpr(&join_conjuncts.back()));
         continue;
       }
       break;
     }
 
-    if (AcceptKeyword("WHERE")) {
-      ASQP_ASSIGN_OR_RETURN(stmt.where, ParseExpr());
+    if (AcceptKeyword(Keyword::kWhere)) {
+      ASQP_RETURN_NOT_OK(ParseExpr(&stmt->where));
     }
     if (!join_conjuncts.empty()) {
       ExprPtr joined = AndAll(join_conjuncts);
-      stmt.where = stmt.where ? Expr::Binary(BinOp::kAnd, joined, stmt.where)
-                              : joined;
+      stmt->where = stmt->where
+                        ? Expr::Binary(BinOp::kAnd, joined, stmt->where)
+                        : joined;
     }
 
-    if (AcceptKeyword("GROUP")) {
-      ASQP_RETURN_NOT_OK(ExpectKeyword("BY"));
+    if (AcceptKeyword(Keyword::kGroup)) {
+      ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
       while (true) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr g, ParsePrimary());
-        stmt.group_by.push_back(std::move(g));
-        if (!AcceptSymbol(",")) break;
+        stmt->group_by.emplace_back();
+        ASQP_RETURN_NOT_OK(ParsePrimary(&stmt->group_by.back()));
+        if (!AcceptSymbol(',')) break;
       }
     }
 
-    if (AcceptKeyword("HAVING")) {
-      if (stmt.group_by.empty() && !stmt.HasAggregates()) {
+    if (AcceptKeyword(Keyword::kHaving)) {
+      if (stmt->group_by.empty() && !stmt->HasAggregates()) {
         return Status::ParseError("HAVING requires GROUP BY or aggregates");
       }
-      ASQP_ASSIGN_OR_RETURN(stmt.having, ParseExpr());
+      ASQP_RETURN_NOT_OK(ParseExpr(&stmt->having));
     }
 
-    if (AcceptKeyword("ORDER")) {
-      ASQP_RETURN_NOT_OK(ExpectKeyword("BY"));
+    if (AcceptKeyword(Keyword::kOrder)) {
+      ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kBy));
       while (true) {
-        OrderItem item;
-        ASQP_ASSIGN_OR_RETURN(item.expr, ParsePrimary());
-        if (AcceptKeyword("DESC")) item.desc = true;
-        else AcceptKeyword("ASC");
-        stmt.order_by.push_back(std::move(item));
-        if (!AcceptSymbol(",")) break;
+        stmt->order_by.emplace_back();
+        OrderItem& item = stmt->order_by.back();
+        ASQP_RETURN_NOT_OK(ParsePrimary(&item.expr));
+        if (AcceptKeyword(Keyword::kDesc)) item.desc = true;
+        else AcceptKeyword(Keyword::kAsc);
+        if (!AcceptSymbol(',')) break;
       }
     }
 
-    if (AcceptKeyword("LIMIT")) {
+    if (AcceptKeyword(Keyword::kLimit)) {
       if (Peek().type != TokenType::kInteger) {
         return ErrorHere("expected integer after LIMIT");
       }
-      stmt.limit = Peek().int_value;
+      stmt->limit = Peek().int_value;
       Advance();
     }
 
     if (Peek().type != TokenType::kEnd) {
       return ErrorHere("unexpected trailing input");
     }
-    if (stmt.from.empty()) {
+    if (stmt->from.empty()) {
       return Status::ParseError("query has no FROM clause");
     }
-    return stmt;
+    return Status::OK();
   }
 
  private:
@@ -113,109 +144,95 @@ class Parser {
   }
   void Advance() { if (pos_ + 1 < tokens_.size()) ++pos_; }
 
-  bool PeekKeyword(const char* kw) const {
-    return Peek().type == TokenType::kKeyword && Peek().text == kw;
+  bool PeekKeyword(Keyword kw) const {
+    return Peek().type == TokenType::kKeyword && Peek().keyword == kw;
   }
-  bool AcceptKeyword(const char* kw) {
+  bool AcceptKeyword(Keyword kw) {
     if (!PeekKeyword(kw)) return false;
     Advance();
     return true;
   }
-  Status ExpectKeyword(const char* kw) {
+  Status ExpectKeyword(Keyword kw) {
     if (!AcceptKeyword(kw)) {
       return Status::ParseError(util::Format(
-          "expected %s at offset %zu (got '%s')", kw, Peek().position,
-          Peek().text.c_str()));
+          "expected %s at offset %zu (got '%s')", KeywordName(kw),
+          Peek().position, Peek().Normalized().c_str()));
     }
     return Status::OK();
   }
-  bool PeekSymbol(const char* sym) const {
-    return Peek().type == TokenType::kSymbol && Peek().text == sym;
+  bool PeekSymbol(char sym) const {
+    return Peek().type == TokenType::kSymbol && Peek().symbol == sym;
   }
-  bool AcceptSymbol(const char* sym) {
+  bool AcceptSymbol(char sym) {
     if (!PeekSymbol(sym)) return false;
     Advance();
     return true;
   }
-  Status ExpectSymbol(const char* sym) {
+  Status ExpectSymbol(char sym) {
     if (!AcceptSymbol(sym)) {
       return Status::ParseError(util::Format(
-          "expected '%s' at offset %zu (got '%s')", sym, Peek().position,
-          Peek().text.c_str()));
+          "expected '%c' at offset %zu (got '%s')", sym, Peek().position,
+          Peek().Normalized().c_str()));
     }
     return Status::OK();
+  }
+  /// The AST string of the identifier under the cursor, which the caller
+  /// has checked is one.
+  std::string TakeIdentifier() {
+    std::string name = LowerIdentifier(Peek().text);
+    Advance();
+    return name;
   }
   Status ErrorHere(const char* msg) {
     return Status::ParseError(
         util::Format("%s at offset %zu", msg, Peek().position));
   }
 
-  Result<SelectItem> ParseSelectItem() {
-    SelectItem item;
-    // Aggregate function?
-    if (Peek().type == TokenType::kKeyword) {
-      const std::string& kw = Peek().text;
-      AggFunc agg = AggFunc::kNone;
-      if (kw == "COUNT") agg = AggFunc::kCount;
-      else if (kw == "SUM") agg = AggFunc::kSum;
-      else if (kw == "AVG") agg = AggFunc::kAvg;
-      else if (kw == "MIN") agg = AggFunc::kMin;
-      else if (kw == "MAX") agg = AggFunc::kMax;
-      if (agg != AggFunc::kNone) {
-        Advance();
-        item.agg = agg;
-        ASQP_RETURN_NOT_OK(ExpectSymbol("("));
-        if (AcceptKeyword("DISTINCT")) item.distinct = true;
-        if (AcceptSymbol("*")) {
-          if (item.distinct) return ErrorHere("DISTINCT * is not valid");
-          item.star = true;
-        } else {
-          ASQP_ASSIGN_OR_RETURN(item.expr, ParseAdditive());
-        }
-        ASQP_RETURN_NOT_OK(ExpectSymbol(")"));
-        if (AcceptKeyword("AS")) {
-          if (Peek().type != TokenType::kIdentifier) {
-            return ErrorHere("expected alias after AS");
-          }
-          item.alias = Peek().text;
-          Advance();
-        }
-        return item;
-      }
+  /// `AS alias` after a select item or a table, when present.
+  Status ParseAlias(std::string* alias) {
+    if (!AcceptKeyword(Keyword::kAs)) return Status::OK();
+    if (Peek().type != TokenType::kIdentifier) {
+      return ErrorHere("expected alias after AS");
     }
-    if (AcceptSymbol("*")) {
-      item.star = true;
-      return item;
-    }
-    ASQP_ASSIGN_OR_RETURN(item.expr, ParseAdditive());
-    if (AcceptKeyword("AS")) {
-      if (Peek().type != TokenType::kIdentifier) {
-        return ErrorHere("expected alias after AS");
-      }
-      item.alias = Peek().text;
-      Advance();
-    }
-    return item;
+    *alias = TakeIdentifier();
+    return Status::OK();
   }
 
-  Result<TableRef> ParseTableRef() {
+  Status ParseSelectItem(SelectItem* item) {
+    // Aggregate function?
+    if (Peek().type == TokenType::kKeyword) {
+      const AggFunc agg = AggregateOf(Peek().keyword);
+      if (agg != AggFunc::kNone) {
+        Advance();
+        item->agg = agg;
+        ASQP_RETURN_NOT_OK(ExpectSymbol('('));
+        if (AcceptKeyword(Keyword::kDistinct)) item->distinct = true;
+        if (AcceptSymbol('*')) {
+          if (item->distinct) return ErrorHere("DISTINCT * is not valid");
+          item->star = true;
+        } else {
+          ASQP_RETURN_NOT_OK(ParseAdditive(&item->expr));
+        }
+        ASQP_RETURN_NOT_OK(ExpectSymbol(')'));
+        return ParseAlias(&item->alias);
+      }
+    }
+    if (AcceptSymbol('*')) {
+      item->star = true;
+      return Status::OK();
+    }
+    ASQP_RETURN_NOT_OK(ParseAdditive(&item->expr));
+    return ParseAlias(&item->alias);
+  }
+
+  Status ParseTableRef(TableRef* ref) {
     if (Peek().type != TokenType::kIdentifier) {
       return ErrorHere("expected table name");
     }
-    TableRef ref;
-    ref.table = Peek().text;
-    Advance();
-    if (AcceptKeyword("AS")) {
-      if (Peek().type != TokenType::kIdentifier) {
-        return ErrorHere("expected alias after AS");
-      }
-      ref.alias = Peek().text;
-      Advance();
-    } else if (Peek().type == TokenType::kIdentifier) {
-      ref.alias = Peek().text;
-      Advance();
-    }
-    return ref;
+    ref->table = TakeIdentifier();
+    if (PeekKeyword(Keyword::kAs)) return ParseAlias(&ref->alias);
+    if (Peek().type == TokenType::kIdentifier) ref->alias = TakeIdentifier();
+    return Status::OK();
   }
 
   // expr        := and_expr (OR and_expr)*
@@ -225,196 +242,209 @@ class Parser {
   // additive    := multiplicative ((+|-) multiplicative)*
   // multiplicative := primary ((*|/) primary)*
   // primary     := literal | column_ref | ( expr )
-  Result<ExprPtr> ParseExpr() {
-    ASQP_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
-    while (AcceptKeyword("OR")) {
-      ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = Expr::Binary(BinOp::kOr, std::move(left), std::move(right));
+  Status ParseExpr(ExprPtr* out) {
+    ASQP_RETURN_NOT_OK(ParseAnd(out));
+    while (AcceptKeyword(Keyword::kOr)) {
+      ExprPtr right;
+      ASQP_RETURN_NOT_OK(ParseAnd(&right));
+      *out = Expr::Binary(BinOp::kOr, std::move(*out), std::move(right));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<ExprPtr> ParseAnd() {
-    ASQP_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
-    while (AcceptKeyword("AND")) {
-      ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = Expr::Binary(BinOp::kAnd, std::move(left), std::move(right));
+  Status ParseAnd(ExprPtr* out) {
+    ASQP_RETURN_NOT_OK(ParseNot(out));
+    while (AcceptKeyword(Keyword::kAnd)) {
+      ExprPtr right;
+      ASQP_RETURN_NOT_OK(ParseNot(&right));
+      *out = Expr::Binary(BinOp::kAnd, std::move(*out), std::move(right));
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<ExprPtr> ParseNot() {
-    if (AcceptKeyword("NOT")) {
-      ASQP_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-      return Expr::Not(std::move(operand));
+  Status ParseNot(ExprPtr* out) {
+    if (AcceptKeyword(Keyword::kNot)) {
+      ExprPtr operand;
+      ASQP_RETURN_NOT_OK(ParseNot(&operand));
+      *out = Expr::Not(std::move(operand));
+      return Status::OK();
     }
-    return ParsePredicate();
+    return ParsePredicate(out);
   }
 
-  Result<ExprPtr> ParsePredicate() {
-    ASQP_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+  Status ParsePredicate(ExprPtr* out) {
+    ASQP_RETURN_NOT_OK(ParseAdditive(out));
     // Comparison operators.
-    static const std::pair<const char*, BinOp> kCompare[] = {
-        {"=", BinOp::kEq}, {"<>", BinOp::kNe}, {"<=", BinOp::kLe},
-        {">=", BinOp::kGe}, {"<", BinOp::kLt}, {">", BinOp::kGt},
-    };
-    for (const auto& [sym, op] : kCompare) {
-      if (AcceptSymbol(sym)) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-        return Expr::Binary(op, std::move(left), std::move(right));
+    if (Peek().type == TokenType::kSymbol) {
+      BinOp op = BinOp::kEq;
+      switch (Peek().symbol) {
+        case '=': op = BinOp::kEq; break;
+        case kSymNe: op = BinOp::kNe; break;
+        case kSymLe: op = BinOp::kLe; break;
+        case kSymGe: op = BinOp::kGe; break;
+        case '<': op = BinOp::kLt; break;
+        case '>': op = BinOp::kGt; break;
+        default: return Status::OK();
       }
+      Advance();
+      ExprPtr right;
+      ASQP_RETURN_NOT_OK(ParseAdditive(&right));
+      *out = Expr::Binary(op, std::move(*out), std::move(right));
+      return Status::OK();
     }
     bool negated = false;
-    if (PeekKeyword("NOT") &&
-        (Peek(1).text == "IN" || Peek(1).text == "BETWEEN" ||
-         Peek(1).text == "LIKE")) {
+    if (PeekKeyword(Keyword::kNot) && NegatesPredicate(Peek(1))) {
       Advance();
       negated = true;
     }
-    if (AcceptKeyword("IN")) {
-      ASQP_RETURN_NOT_OK(ExpectSymbol("("));
+    if (AcceptKeyword(Keyword::kIn)) {
+      ASQP_RETURN_NOT_OK(ExpectSymbol('('));
       std::vector<storage::Value> list;
       while (true) {
-        ASQP_ASSIGN_OR_RETURN(storage::Value v, ParseLiteralValue());
-        list.push_back(std::move(v));
-        if (!AcceptSymbol(",")) break;
+        list.emplace_back();
+        ASQP_RETURN_NOT_OK(ParseLiteralValue(&list.back()));
+        if (!AcceptSymbol(',')) break;
       }
-      ASQP_RETURN_NOT_OK(ExpectSymbol(")"));
-      return Expr::In(std::move(left), std::move(list), negated);
+      ASQP_RETURN_NOT_OK(ExpectSymbol(')'));
+      *out = Expr::In(std::move(*out), std::move(list), negated);
+      return Status::OK();
     }
-    if (AcceptKeyword("BETWEEN")) {
-      ASQP_ASSIGN_OR_RETURN(storage::Value lo, ParseLiteralValue());
-      ASQP_RETURN_NOT_OK(ExpectKeyword("AND"));
-      ASQP_ASSIGN_OR_RETURN(storage::Value hi, ParseLiteralValue());
-      return Expr::Between(std::move(left), std::move(lo), std::move(hi),
-                           negated);
+    if (AcceptKeyword(Keyword::kBetween)) {
+      ExprPtr between = Expr::Between(std::move(*out), storage::Value(),
+                                      storage::Value(), negated);
+      ASQP_RETURN_NOT_OK(ParseLiteralValue(&between->between_lo));
+      ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kAnd));
+      ASQP_RETURN_NOT_OK(ParseLiteralValue(&between->between_hi));
+      *out = std::move(between);
+      return Status::OK();
     }
-    if (AcceptKeyword("LIKE")) {
+    if (AcceptKeyword(Keyword::kLike)) {
       if (Peek().type != TokenType::kString) {
         return ErrorHere("expected string pattern after LIKE");
       }
-      std::string pattern = Peek().text;
+      std::string pattern = StringLiteralValue(Peek());
       Advance();
-      return Expr::Like(std::move(left), std::move(pattern), negated);
+      *out = Expr::Like(std::move(*out), std::move(pattern), negated);
+      return Status::OK();
     }
-    if (AcceptKeyword("IS")) {
-      bool is_not = AcceptKeyword("NOT");
-      ASQP_RETURN_NOT_OK(ExpectKeyword("NULL"));
-      return Expr::IsNull(std::move(left), is_not);
+    if (AcceptKeyword(Keyword::kIs)) {
+      bool is_not = AcceptKeyword(Keyword::kNot);
+      ASQP_RETURN_NOT_OK(ExpectKeyword(Keyword::kNull));
+      *out = Expr::IsNull(std::move(*out), is_not);
     }
-    return left;
+    return Status::OK();
   }
 
-  Result<ExprPtr> ParseAdditive() {
-    ASQP_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
+  Status ParseAdditive(ExprPtr* out) {
+    ASQP_RETURN_NOT_OK(ParseMultiplicative(out));
     while (true) {
-      if (AcceptSymbol("+")) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-        left = Expr::Binary(BinOp::kAdd, std::move(left), std::move(right));
-      } else if (AcceptSymbol("-")) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
-        left = Expr::Binary(BinOp::kSub, std::move(left), std::move(right));
+      BinOp op = BinOp::kAdd;
+      if (AcceptSymbol('+')) {
+        op = BinOp::kAdd;
+      } else if (AcceptSymbol('-')) {
+        op = BinOp::kSub;
       } else {
-        return left;
+        return Status::OK();
       }
+      ExprPtr right;
+      ASQP_RETURN_NOT_OK(ParseMultiplicative(&right));
+      *out = Expr::Binary(op, std::move(*out), std::move(right));
     }
   }
 
-  Result<ExprPtr> ParseMultiplicative() {
-    ASQP_ASSIGN_OR_RETURN(ExprPtr left, ParsePrimary());
+  Status ParseMultiplicative(ExprPtr* out) {
+    ASQP_RETURN_NOT_OK(ParsePrimary(out));
     while (true) {
-      if (AcceptSymbol("*")) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-        left = Expr::Binary(BinOp::kMul, std::move(left), std::move(right));
-      } else if (AcceptSymbol("/")) {
-        ASQP_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-        left = Expr::Binary(BinOp::kDiv, std::move(left), std::move(right));
+      BinOp op = BinOp::kMul;
+      if (AcceptSymbol('*')) {
+        op = BinOp::kMul;
+      } else if (AcceptSymbol('/')) {
+        op = BinOp::kDiv;
       } else {
-        return left;
+        return Status::OK();
       }
+      ExprPtr right;
+      ASQP_RETURN_NOT_OK(ParsePrimary(&right));
+      *out = Expr::Binary(op, std::move(*out), std::move(right));
     }
   }
 
-  Result<storage::Value> ParseLiteralValue() {
-    bool neg = AcceptSymbol("-");
+  /// Parse a literal constant (optionally negated) into `*out`.
+  Status ParseLiteralValue(storage::Value* out) {
+    const bool neg = AcceptSymbol('-');
     const Token& tok = Peek();
     switch (tok.type) {
-      case TokenType::kInteger: {
-        int64_t v = tok.int_value;
-        Advance();
-        return storage::Value(neg ? -v : v);
-      }
-      case TokenType::kFloat: {
-        double v = tok.float_value;
-        Advance();
-        return storage::Value(neg ? -v : v);
-      }
-      case TokenType::kString: {
+      case TokenType::kInteger:
+        *out = storage::Value(neg ? -tok.int_value : tok.int_value);
+        break;
+      case TokenType::kFloat:
+        *out = storage::Value(neg ? -tok.float_value : tok.float_value);
+        break;
+      case TokenType::kString:
         if (neg) return ErrorHere("cannot negate a string literal");
-        storage::Value v{tok.text};
-        Advance();
-        return v;
-      }
+        *out = storage::Value(StringLiteralValue(tok));
+        break;
       case TokenType::kKeyword:
-        if (tok.text == "NULL") {
+        if (tok.keyword == Keyword::kNull) {
           if (neg) return ErrorHere("cannot negate NULL");
-          Advance();
-          return storage::Value::Null();
+          *out = storage::Value::Null();
+          break;
         }
         [[fallthrough]];
       default:
         return ErrorHere("expected literal value");
     }
+    Advance();
+    return Status::OK();
   }
 
-  Result<ExprPtr> ParsePrimary() {
+  Status ParseLiteral(ExprPtr* out) {
+    *out = Expr::Literal(storage::Value());
+    return ParseLiteralValue(&(*out)->literal);
+  }
+
+  Status ParsePrimary(ExprPtr* out) {
     const Token& tok = Peek();
     switch (tok.type) {
       case TokenType::kInteger:
       case TokenType::kFloat:
-      case TokenType::kString: {
-        ASQP_ASSIGN_OR_RETURN(storage::Value v, ParseLiteralValue());
-        return Expr::Literal(std::move(v));
-      }
+      case TokenType::kString:
+        return ParseLiteral(out);
       case TokenType::kSymbol:
-        if (tok.text == "(") {
+        if (tok.symbol == '(') {
           Advance();
-          ASQP_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
-          ASQP_RETURN_NOT_OK(ExpectSymbol(")"));
-          return inner;
+          ASQP_RETURN_NOT_OK(ParseExpr(out));
+          return ExpectSymbol(')');
         }
-        if (tok.text == "-") {
-          ASQP_ASSIGN_OR_RETURN(storage::Value v, ParseLiteralValue());
-          return Expr::Literal(std::move(v));
-        }
+        if (tok.symbol == '-') return ParseLiteral(out);
         return ErrorHere("unexpected symbol");
       case TokenType::kKeyword:
-        if (tok.text == "NULL") {
+        if (tok.keyword == Keyword::kNull) {
           Advance();
-          return Expr::Literal(storage::Value::Null());
+          *out = Expr::Literal(storage::Value::Null());
+          return Status::OK();
         }
         // Aggregate-function names act as identifiers when not called:
         // e.g. HAVING count >= 3 references the output column "count".
-        if ((tok.text == "COUNT" || tok.text == "SUM" || tok.text == "AVG" ||
-             tok.text == "MIN" || tok.text == "MAX") &&
-            !(Peek(1).type == TokenType::kSymbol && Peek(1).text == "(")) {
-          std::string name = util::ToLower(tok.text);
+        if (AggregateOf(tok.keyword) != AggFunc::kNone &&
+            !(Peek(1).type == TokenType::kSymbol && Peek(1).symbol == '(')) {
+          std::string name = LowerIdentifier(tok.text);
           Advance();
-          return Expr::ColumnRef("", std::move(name));
+          *out = Expr::ColumnRef("", std::move(name));
+          return Status::OK();
         }
         return ErrorHere("unexpected keyword");
       case TokenType::kIdentifier: {
-        std::string first = tok.text;
-        Advance();
-        if (AcceptSymbol(".")) {
+        std::string first = TakeIdentifier();
+        if (AcceptSymbol('.')) {
           if (Peek().type != TokenType::kIdentifier) {
             return ErrorHere("expected column name after '.'");
           }
-          std::string col = Peek().text;
-          Advance();
-          return Expr::ColumnRef(std::move(first), std::move(col));
+          *out = Expr::ColumnRef(std::move(first), TakeIdentifier());
+        } else {
+          *out = Expr::ColumnRef("", std::move(first));
         }
-        return Expr::ColumnRef("", std::move(first));
+        return Status::OK();
       }
       case TokenType::kEnd:
         return ErrorHere("unexpected end of input");
@@ -422,16 +452,21 @@ class Parser {
     return ErrorHere("unexpected token");
   }
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
 util::Result<SelectStatement> Parse(const std::string& sql) {
-  ASQP_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
-  return parser.ParseSelect();
+  // Each thread reuses one token buffer. The tokens view `sql`, which
+  // outlives the parser; the buffer is cleared before its next use.
+  thread_local std::vector<Token> tokens;
+  ASQP_RETURN_NOT_OK(Tokenize(sql, &tokens));
+  Parser parser(tokens);
+  util::Result<SelectStatement> stmt(std::in_place);
+  ASQP_RETURN_NOT_OK(parser.ParseSelect(&stmt.value()));
+  return stmt;
 }
 
 }  // namespace sql

@@ -148,6 +148,10 @@ template <typename T>
 class [[nodiscard]] Result {
  public:
   Result(T value) : repr_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  /// Construct the value in place from `args`, with no temporary T to move.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : repr_(std::in_place_index<0>, std::forward<Args>(args)...) {}
   Result(Status status) : repr_(std::move(status)) {  // NOLINT
     assert(!std::get<Status>(repr_).ok() && "Result constructed from OK status");
   }

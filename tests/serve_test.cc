@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -22,6 +23,7 @@
 #include "serve/batch_scheduler.h"
 #include "serve/serve_engine.h"
 #include "sql/canonicalize.h"
+#include "sql/parser.h"
 #include "tests/slot_hold.h"
 #include "tests/testing.h"
 #include "util/exec_context.h"
@@ -560,6 +562,54 @@ TEST_F(ServeEngineTest, ZeroCacheBytesAlwaysExecutes) {
   EXPECT_FALSE(b.from_cache);
   EXPECT_EQ(engine.stats().cache_hits, 0u);
   EXPECT_EQ(Keys(a.result), Keys(b.result));
+}
+
+TEST_F(ServeEngineTest, AnswerSqlMatchesAnswerOfTheParsedStatement) {
+  // AnswerSql binds its parsed statement in place, and the estimator and
+  // the drift list read that bound statement; Answer(stmt) binds a copy
+  // of the caller's. With the cache off every request executes: the
+  // answers must be byte-identical and the drift list must grow alike.
+  ServeOptions options = SmallServe();
+  options.cache_bytes = 0;
+  ServeEngine engine(model_.get(), options);
+  const std::vector<std::string> queries = {
+      kQuery,
+      "SELECT x.name, y.role FROM title x, cast_info y "
+      "WHERE 2000 <= x.production_year AND x.id = y.movie_id",
+      "SELECT p.name FROM person p WHERE p.birth_year < 1930",
+      "SELECT t.genre, COUNT(*) AS n FROM title t WHERE t.rating > 7 "
+      "GROUP BY t.genre",
+      "SELECT c.name, mc.note FROM company c, movie_companies mc "
+      "WHERE mc.company_id = c.id AND c.country IN ('us', 'fr')",
+  };
+  size_t drifted = 0;
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    const size_t before = model_->drifted_query_count();
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult text, engine.AnswerSql(sql));
+    const size_t after_text = model_->drifted_query_count();
+    ASSERT_OK_AND_ASSIGN(sql::SelectStatement stmt, sql::Parse(sql));
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult parsed, engine.Answer(stmt));
+    const size_t after_parsed = model_->drifted_query_count();
+    EXPECT_EQ(after_parsed - after_text, after_text - before);
+    drifted += after_text - before;
+    EXPECT_FALSE(text.from_cache);
+    EXPECT_FALSE(parsed.from_cache);
+    EXPECT_EQ(text.result.column_names(), parsed.result.column_names());
+    EXPECT_EQ(Keys(text.result), Keys(parsed.result));
+    EXPECT_EQ(text.used_approximation, parsed.used_approximation);
+    EXPECT_EQ(text.tier, parsed.tier);
+    // Bit for bit: the estimate on the bound statement is the written
+    // statement's (`stmt` is still unbound: Answer bound a copy).
+    EXPECT_EQ(std::memcmp(&text.answerability, &parsed.answerability,
+                          sizeof(double)),
+              0);
+    const double written = model_->EstimateAnswerability(stmt);
+    EXPECT_EQ(std::memcmp(&text.answerability, &written, sizeof(double)), 0);
+  }
+  // At least one query is out of distribution, so the drift list is
+  // exercised, not just left alone by both paths.
+  EXPECT_GE(drifted, 1u);
 }
 
 TEST_F(ServeEngineTest, AnswersAreIdenticalAcrossPoolSizes) {

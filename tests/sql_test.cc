@@ -18,13 +18,35 @@ TEST(LexerTest, KeywordsIdentifiersNumbersStrings) {
   EXPECT_EQ(tokens[0].type, TokenType::kKeyword);
   EXPECT_EQ(tokens[0].text, "SELECT");
   EXPECT_EQ(tokens[1].type, TokenType::kIdentifier);
-  EXPECT_EQ(tokens[1].text, "foo");  // identifiers lower-cased
+  EXPECT_EQ(tokens[1].Normalized(), "foo");  // identifiers lower-cased
   EXPECT_EQ(tokens[3].type, TokenType::kInteger);
   EXPECT_EQ(tokens[3].int_value, 12);
   EXPECT_EQ(tokens[5].type, TokenType::kFloat);
   EXPECT_DOUBLE_EQ(tokens[5].float_value, 3.5);
   EXPECT_EQ(tokens[7].type, TokenType::kString);
-  EXPECT_EQ(tokens[7].text, "it's");
+  EXPECT_EQ(tokens[7].Normalized(), "it's");
+}
+
+TEST(LexerTest, TokensViewTheInputAndKeywordsAreIds) {
+  const std::string input = "select Foo, 'it''s', 'ab' FROM bar";
+  ASSERT_OK_AND_ASSIGN(auto tokens, Tokenize(input));
+  ASSERT_EQ(tokens.size(), 9u);
+  EXPECT_EQ(tokens[0].keyword, Keyword::kSelect);
+  EXPECT_EQ(tokens[0].text, "SELECT");  // the table's spelling
+  // Identifiers and string literals are views of the input, as written.
+  EXPECT_EQ(tokens[1].text, "Foo");
+  EXPECT_EQ(tokens[1].text.data(), input.data() + 7);
+  EXPECT_EQ(tokens[3].text, "it''s");
+  EXPECT_TRUE(tokens[3].escaped);
+  EXPECT_EQ(tokens[3].text.data(), input.data() + 13);
+  EXPECT_EQ(tokens[5].text, "ab");
+  EXPECT_FALSE(tokens[5].escaped);
+  EXPECT_EQ(StringLiteralValue(tokens[5]), "ab");
+  EXPECT_EQ(tokens[4].symbol, ',');
+  EXPECT_EQ(tokens[6].keyword, Keyword::kFrom);
+  EXPECT_EQ(tokens[7].Normalized(), "bar");
+  EXPECT_EQ(tokens[8].type, TokenType::kEnd);
+  EXPECT_EQ(tokens[8].position, input.size());
 }
 
 TEST(LexerTest, TwoCharOperators) {
@@ -33,6 +55,8 @@ TEST(LexerTest, TwoCharOperators) {
   EXPECT_EQ(tokens[3].text, ">=");
   EXPECT_EQ(tokens[5].text, "<>");
   EXPECT_EQ(tokens[7].text, "<>");  // != normalized
+  EXPECT_EQ(tokens[5].symbol, kSymNe);
+  EXPECT_EQ(tokens[7].symbol, kSymNe);
 }
 
 TEST(LexerTest, UnterminatedStringIsError) {
