@@ -6,10 +6,14 @@
 // overload scenario offers 4x max_inflight sessions with tight deadlines
 // and fault points armed, records p50/p99/degraded-answer ratio/mean
 // error estimate, and fails if any raw kDeadlineExceeded/kCancelled
-// escapes ServeEngine::Answer. Emits machine-readable records via
-// --json / ASQP_BENCH_JSON for CI's bench-smoke gate
-// (tools/bench_compare vs bench/baselines/BENCH_serve.json).
+// escapes ServeEngine::Answer. A text-path record sends SQL text through
+// AnswerSql, where a repeated text is answered through the exact-text
+// memo. Emits machine-readable records via --json / ASQP_BENCH_JSON for
+// CI's bench-smoke gate (tools/bench_compare vs
+// bench/baselines/BENCH_serve.json).
 #include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -63,6 +67,20 @@ double RunSessions(serve::ServeEngine* engine,
   }
   for (std::thread& t : threads) t.join();
   return timer.ElapsedSeconds();
+}
+
+/// `sql` with every character outside string literals lower-cased: an
+/// equivalent spelling, as keywords and identifiers ignore case.
+std::string LowerOutsideQuotes(std::string sql) {
+  bool quoted = false;
+  for (char& c : sql) {
+    if (c == '\'') {
+      quoted = !quoted;
+    } else if (!quoted) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return sql;
 }
 
 }  // namespace
@@ -147,6 +165,88 @@ int main(int argc, char** argv) {
     record.params.emplace_back("bench_scale", std::to_string(BenchScale()));
     record.params.emplace_back("speedup_vs_cold", Fmt(speedup, 1));
     record.wall_seconds = hit_seconds;
+    writer.Add(std::move(record));
+  }
+
+  // --- Text-path hits: a fixed set of spellings through AnswerSql. ------
+  // Every record above drives Answer(stmt), which carries no text. Here
+  // four sessions send SQL text: each query as ToSql() renders it and
+  // lower-cased. Two warm-up passes execute each query once and memoize
+  // every text, so the timed requests are cache hits found through the
+  // exact-text memo, without parsing.
+  {
+    std::vector<std::string> texts;
+    for (const auto& stmt : queries) {
+      texts.push_back(stmt.ToSql());
+      texts.push_back(LowerOutsideQuotes(texts.back()));
+    }
+    serve::ServeEngine engine(&model, serve_options);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& sql : texts) {
+        auto result = engine.AnswerSql(sql);
+        if (!result.ok()) {
+          std::fprintf(stderr, "text warm-up failed: %s\n",
+                       result.status().ToString().c_str());
+          return 1;
+        }
+      }
+    }
+    const serve::ServeEngine::Stats warm = engine.stats();
+    constexpr size_t kTextSessions = 4;
+    constexpr size_t kTextRequests = 20000;  // per session; hits take µs
+    std::vector<std::vector<double>> per_session(kTextSessions);
+    std::atomic<size_t> misses{0};
+    util::Stopwatch timer;
+    std::vector<std::thread> threads;
+    for (size_t s = 0; s < kTextSessions; ++s) {
+      threads.emplace_back([&engine, &texts, &per_session, &misses, s] {
+        per_session[s].reserve(kTextRequests);
+        for (size_t i = 0; i < kTextRequests; ++i) {
+          util::Stopwatch request_timer;
+          auto result = engine.AnswerSql(texts[(s + i) % texts.size()]);
+          per_session[s].push_back(request_timer.ElapsedSeconds());
+          if (!result.ok() || !result.value().from_cache) {
+            misses.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    const double wall = timer.ElapsedSeconds();
+    if (misses.load() > 0) {
+      std::fprintf(stderr, "text path: %zu timed request(s) missed\n",
+                   misses.load());
+      return 1;
+    }
+    std::vector<double> latencies;
+    for (const std::vector<double>& lat : per_session) {
+      latencies.insert(latencies.end(), lat.begin(), lat.end());
+    }
+    std::sort(latencies.begin(), latencies.end());
+    const double p50 = latencies[latencies.size() / 2];
+    const double p99 = latencies[latencies.size() * 99 / 100];
+    const double qps = wall > 0 ? static_cast<double>(latencies.size()) / wall
+                                : 0.0;
+    const serve::ServeEngine::Stats stats = engine.stats();
+    const double memo_ratio =
+        static_cast<double>(stats.memo_hits - warm.memo_hits) /
+        static_cast<double>(latencies.size());
+
+    PrintRow({"text hit", "QPS", "p50", "p99", "memo"}, {10, 12, 12, 12, 10});
+    PrintRow({util::Format("%zux%zu", kTextSessions, kTextRequests),
+              Fmt(qps, 1), Fmt(p50 * 1e6, 2) + " us",
+              Fmt(p99 * 1e6, 2) + " us", Fmt(memo_ratio, 3)},
+             {10, 12, 12, 12, 10});
+
+    BenchRecord record;
+    record.name = "serve_text_hit/4";
+    record.params.emplace_back("bench_scale", std::to_string(BenchScale()));
+    record.params.emplace_back("sessions", std::to_string(kTextSessions));
+    record.params.emplace_back("texts", std::to_string(texts.size()));
+    record.params.emplace_back("memo_hit_ratio", Fmt(memo_ratio, 3));
+    record.wall_seconds = p50;
+    record.rows_per_sec = qps;
+    record.p99_seconds = p99;
     writer.Add(std::move(record));
   }
 

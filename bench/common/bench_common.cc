@@ -90,12 +90,14 @@ size_t BenchExecThreads() {
 }
 
 metric::Workload FilterNonEmpty(const storage::Database& db,
-                                const metric::Workload& workload) {
+                                const metric::Workload& workload,
+                                size_t morsel_rows) {
   // Harness setup used to re-execute every workload query sequentially in
   // each bench binary; it now runs through the morsel-parallel engine so
   // bench wall-times measure the system under test, not the harness.
   exec::ExecOptions options;
   options.num_threads = BenchExecThreads();
+  if (morsel_rows > 0) options.morsel_rows = morsel_rows;
   exec::QueryEngine engine(options);
   storage::DatabaseView view(&db);
   metric::Workload out;

@@ -54,9 +54,12 @@ size_t BenchExecThreads();
 /// bind. Weights are re-normalized. Queries execute through the
 /// morsel-parallel engine (BenchExecThreads() threads) so this setup cost
 /// does not dominate bench wall-times; the kept set is identical to a
-/// sequential pass (asserted in tests/parallel_exec_test.cc).
+/// sequential pass (asserted in tests/parallel_exec_test.cc). An operator
+/// runs in parallel only over more than one morsel; `morsel_rows` (0 =
+/// the engine's default) lets a test force morsels on small tables.
 metric::Workload FilterNonEmpty(const storage::Database& db,
-                                const metric::Workload& workload);
+                                const metric::Workload& workload,
+                                size_t morsel_rows = 0);
 
 /// Score + average per-query latency of answering 10 workload queries
 /// over the subset.

@@ -193,7 +193,7 @@ class Execution {
         return Status::OK();
       };
 
-      if (pool_ != nullptr && domain > 1) {
+      if (pool_ != nullptr && domain > options_.morsel_rows) {
         const size_t morsel = options_.morsel_rows;
         std::vector<std::vector<uint32_t>> parts((domain + morsel - 1) /
                                                  morsel);
@@ -233,7 +233,7 @@ class Execution {
     TupleSet merged;
     merged.num_tables = joined_.num_tables;
     const size_t input = joined_.size();
-    if (pool_ != nullptr && input > 1) {
+    if (pool_ != nullptr && input > options_.morsel_rows) {
       const size_t morsel = options_.morsel_rows;
       std::vector<TupleSet> parts((input + morsel - 1) / morsel);
       std::atomic<size_t> total{0};
@@ -478,7 +478,7 @@ class Execution {
     };
     JoinBuild build;
     const std::vector<uint32_t>& cand = candidates_[t];
-    if (pool_ != nullptr && cand.size() > 1) {
+    if (pool_ != nullptr && cand.size() > options_.morsel_rows) {
       ASQP_RETURN_NOT_OK(ParallelBuild(build_key, cand, &build));
     } else {
       build.parts.resize(1);
@@ -745,7 +745,7 @@ class Execution {
       return Status::OK();
     };
 
-    if (pool_ != nullptr && process > 1) {
+    if (pool_ != nullptr && process > options_.morsel_rows) {
       ASQP_RETURN_NOT_OK(pool_->ParallelReduceOrdered<ProjPartial>(
           process, options_.morsel_rows,
           [&](size_t, size_t begin, size_t end, ProjPartial* partial)
@@ -931,7 +931,7 @@ class Execution {
       return Status::OK();
     };
 
-    if (pool_ != nullptr && input > 1) {
+    if (pool_ != nullptr && input > options_.morsel_rows) {
       ASQP_RETURN_NOT_OK(pool_->ParallelReduceOrdered<AggTable>(
           input, options_.morsel_rows,
           [&](size_t, size_t begin, size_t end, AggTable* local) -> Status {
@@ -1200,7 +1200,7 @@ util::Status QueryEngine::SharedFilterScan(
     return Status::OK();
   };
 
-  if (pool_ != nullptr && domain > 1) {
+  if (pool_ != nullptr && domain > options_.morsel_rows) {
     const size_t morsel = options_.morsel_rows;
     const size_t chunks = (domain + morsel - 1) / morsel;
     std::vector<std::vector<std::vector<uint32_t>>> parts(chunks);

@@ -16,7 +16,9 @@
 // final table). Base-table rows (and intermediate join tuples) are split
 // into fixed-size morsels, each morsel works into a thread-local buffer,
 // and the per-morsel outputs are combined in morsel order — so the
-// produced ResultSet is bit-for-bit identical at every thread count. The
+// produced ResultSet is bit-for-bit identical at every thread count. An
+// operator whose input fits in one morsel runs inline on the calling
+// thread, as one morsel folds exactly like the sequential path. The
 // morsel decomposition itself (morsel_rows) is part of the plan: floating
 // point SUM/AVG partials are reduced per-morsel then merged in morsel
 // order, so the reduction tree — and thus the low-order bits over

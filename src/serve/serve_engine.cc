@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,14 @@
 
 namespace asqp {
 namespace serve {
+
+namespace {
+
+/// The text memo's byte budget: about 2k entries of typical exploratory
+/// SQL (a text and its canonical form are a few hundred bytes each).
+constexpr size_t kTextMemoBytes = size_t{1} << 20;
+
+}  // namespace
 
 ServeOptions ServeOptions::FromConfig(const core::AsqpConfig& config) {
   ServeOptions options;
@@ -35,7 +44,8 @@ ServeEngine::ServeEngine(core::AsqpModel* model, ServeOptions options)
       pool_(std::make_shared<util::ThreadPool>(
           std::max<size_t>(1, options.pool_threads))),
       cache_(options.cache_bytes,
-             std::max<size_t>(1, options.cache_shards)) {
+             std::max<size_t>(1, options.cache_shards)),
+      memo_(kTextMemoBytes) {
   model_->SetExecutionPool(pool_);
   BatchScheduler::Options sched;
   sched.max_batch = std::max<size_t>(1, options_.batch_max_queries);
@@ -61,6 +71,7 @@ ServeEngine::Stats ServeEngine::stats() const {
   Stats s;
   s.served = served_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.admission_expired = admission_expired_.load(std::memory_order_relaxed);
@@ -76,13 +87,13 @@ ServeEngine::Stats ServeEngine::stats() const {
   return s;
 }
 
-ServeEngine::FrontHalf ServeEngine::Front(sql::SelectStatement&& stmt,
-                                          const util::ExecContext& context) {
+std::optional<util::Status> ServeEngine::DeadOnArrival(
+    const util::ExecContext& context) {
   // Load-shedding fast path: a request that is already dead on arrival
-  // never costs a ticket or an execution slot. Raw deadline /
-  // cancellation reads here, never ExecContext::Check() — the latter
-  // fires the exec.deadline fault point and would turn away healthy
-  // clients under chaos testing.
+  // never costs a parse, a ticket or an execution slot, and never gets a
+  // cached answer. Raw deadline / cancellation reads here, never
+  // ExecContext::Check() — the latter fires the exec.deadline fault point
+  // and would turn away healthy clients under chaos testing.
   if (context.IsCancelled()) {
     expired_fast_path_.fetch_add(1, std::memory_order_relaxed);
     return util::Status::Cancelled(
@@ -93,7 +104,49 @@ ServeEngine::FrontHalf ServeEngine::Front(sql::SelectStatement&& stmt,
     return util::Status::DeadlineExceeded(
         "serve: deadline already expired on arrival");
   }
+  return std::nullopt;
+}
 
+ServeEngine::FrontHalf ServeEngine::Front(const sql::SelectStatement& stmt,
+                                          const util::ExecContext& context) {
+  if (std::optional<util::Status> dead = DeadOnArrival(context)) {
+    return *std::move(dead);
+  }
+  return Probe(stmt.Clone(), context, /*memo_text=*/nullptr);
+}
+
+ServeEngine::FrontHalf ServeEngine::FrontSql(const std::string& sql,
+                                             const util::ExecContext& context) {
+  if (std::optional<util::Status> dead = DeadOnArrival(context)) {
+    return *std::move(dead);
+  }
+  if (std::optional<core::AnswerResult> hit = MemoHit(sql)) {
+    return std::move(*hit);
+  }
+  util::Result<sql::SelectStatement> stmt = sql::Parse(sql);
+  if (!stmt.ok()) return stmt.status();
+  return Probe(std::move(stmt).value(), context, &sql);
+}
+
+std::optional<core::AnswerResult> ServeEngine::MemoHit(const std::string& sql) {
+  // The probe needs no model lock: a memoized fingerprint depends only on
+  // the text and the database schema, which no FineTune changes. The
+  // lookup reads the generation, so it runs in a reader scope; an entry
+  // evicted or left in an older generation is a miss, and the caller
+  // takes the full front half.
+  sql::QueryFingerprint fingerprint;
+  if (!memo_.Lookup(sql, &fingerprint)) return std::nullopt;
+  std::shared_lock<std::shared_mutex> reader(model_mu_);
+  std::shared_ptr<const core::AnswerResult> hit =
+      cache_.Lookup(fingerprint, model_->generation());
+  if (hit == nullptr) return std::nullopt;
+  memo_hits_.fetch_add(1, std::memory_order_relaxed);
+  return CacheHit(*hit);
+}
+
+ServeEngine::FrontHalf ServeEngine::Probe(sql::SelectStatement&& stmt,
+                                          const util::ExecContext& context,
+                                          const std::string* memo_text) {
   // Reader scope: binding and the cache probe read the model (database
   // schema, generation), so they must see a stable model — a concurrent
   // FineTune may otherwise swap the policy or bump the generation
@@ -112,11 +165,10 @@ ServeEngine::FrontHalf ServeEngine::Front(sql::SelectStatement&& stmt,
   // Cache hits bypass admission entirely: they cost a shard lock and a
   // copy, not an execution slot.
   if (auto hit = cache_.Lookup(fingerprint, model_->generation())) {
-    core::AnswerResult result = *hit;
-    result.from_cache = true;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    served_.fetch_add(1, std::memory_order_relaxed);
-    return result;
+    // Admitted under the reader lock, so FineTune's clear never races an
+    // admission: every entry was admitted in the current generation.
+    if (memo_text != nullptr) memo_.Admit(*memo_text, std::move(fingerprint));
+    return CacheHit(*hit);
   }
   reader.unlock();
 
@@ -141,36 +193,35 @@ ServeEngine::FrontHalf ServeEngine::Front(sql::SelectStatement&& stmt,
   return ticket;
 }
 
+core::AnswerResult ServeEngine::CacheHit(const core::AnswerResult& cached) {
+  core::AnswerResult result = cached;
+  result.from_cache = true;
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  served_.fetch_add(1, std::memory_order_relaxed);
+  return result;
+}
+
 util::Result<core::AnswerResult> ServeEngine::Answer(
     const sql::SelectStatement& stmt, const util::ExecContext& context) {
-  return Serve(stmt.Clone(), context);
+  return Serve(Front(stmt, context));
 }
 
 util::Result<core::AnswerResult> ServeEngine::AnswerSql(
     const std::string& sql, const util::ExecContext& context) {
-  ASQP_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  return Serve(std::move(stmt), context);
+  return Serve(FrontSql(sql, context));
 }
 
 AnswerFuture ServeEngine::AnswerAsync(const sql::SelectStatement& stmt,
                                       const util::ExecContext& context) {
-  return ServeAsync(stmt.Clone(), context);
+  return ServeAsync(Front(stmt, context));
 }
 
 AnswerFuture ServeEngine::AnswerSqlAsync(const std::string& sql,
                                          const util::ExecContext& context) {
-  util::Result<sql::SelectStatement> stmt = sql::Parse(sql);
-  if (!stmt.ok()) {
-    AnswerPromise promise;
-    promise.Resolve(stmt.status());
-    return promise.future();
-  }
-  return ServeAsync(std::move(stmt).value(), context);
+  return ServeAsync(FrontSql(sql, context));
 }
 
-util::Result<core::AnswerResult> ServeEngine::Serve(
-    sql::SelectStatement&& stmt, const util::ExecContext& context) {
-  FrontHalf front = Front(std::move(stmt), context);
+util::Result<core::AnswerResult> ServeEngine::Serve(FrontHalf&& front) {
   if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
     return std::move(*resolved);
   }
@@ -185,9 +236,7 @@ util::Result<core::AnswerResult> ServeEngine::Serve(
   return future.Take();
 }
 
-AnswerFuture ServeEngine::ServeAsync(sql::SelectStatement&& stmt,
-                                     const util::ExecContext& context) {
-  FrontHalf front = Front(std::move(stmt), context);
+AnswerFuture ServeEngine::ServeAsync(FrontHalf&& front) {
   if (auto* resolved = std::get_if<util::Result<core::AnswerResult>>(&front)) {
     AnswerPromise promise;
     promise.Resolve(std::move(*resolved));
@@ -266,11 +315,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
       continue;
     }
     if (auto hit = cache_.Lookup(ticket.fingerprint, generation)) {
-      core::AnswerResult result = *hit;
-      result.from_cache = true;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      ticket.promise.Resolve(std::move(result));
+      ticket.promise.Resolve(CacheHit(*hit));
       continue;
     }
     const auto ins =
@@ -348,6 +393,9 @@ util::Status ServeEngine::FineTune(const metric::Workload& new_queries) {
   // bind against the old approximation set, so drop them all.
   cache_.InvalidateOlderThan(model_->generation());
   plan_cache_.Clear();
+  // Memoized fingerprints stay valid across generations, but clearing
+  // bounds the memo to texts served since the last fine-tune.
+  memo_.Clear();
   return util::Status::OK();
 }
 

@@ -2,17 +2,22 @@
 // AsqpModel for N simultaneous mediator sessions. Every query takes the
 // same path, whether the client calls Answer or AnswerAsync:
 //   1. The front half. A request whose deadline or cancellation is
-//      already dead on arrival is turned away with a typed error. Then,
-//      under the reader lock, the statement is bound in place
+//      already dead on arrival is turned away with a typed error. A SQL
+//      text then probes the exact-text memo (TextMemo): a text memoized
+//      earlier goes straight to the answer cache with the fingerprint its
+//      own front end produced, skipping parse, bind and canonicalization.
+//      Otherwise, under the reader lock, the statement is bound in place
 //      (sql::Bind by move), fingerprinted (sql::QueryFingerprint of the
 //      bound AST) and probed in a sharded answer cache: a repeat query,
 //      in any equivalent spelling, returns the cached AnswerResult
-//      without admission. A miss becomes a BatchScheduler ticket carrying
-//      the bound query — the one statement the query has from then on —
-//      and its table-set key. SQL text is parsed once and its statement
-//      never copied; Answer(stmt) copies the caller's statement once.
-//      Cache entries are stamped with the model's approximation-set
-//      generation; FineTune() bumps it, invalidating every stale entry.
+//      without admission, and a text whose probe hit enters the memo. A
+//      miss becomes a BatchScheduler ticket carrying the bound query —
+//      the one statement the query has from then on — and its table-set
+//      key. SQL text is parsed at most once and its statement never
+//      copied; Answer(stmt) copies the caller's statement once. Cache
+//      entries are stamped with the model's approximation-set generation;
+//      FineTune() bumps it, invalidating every stale entry, and clears
+//      the memo.
 //   2. Admission, by the BatchScheduler alone. At most max_inflight
 //      batches execute at once and up to queue_capacity tickets queue
 //      behind them in arrival order. AnswerAsync queues its ticket and
@@ -41,6 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <variant>
@@ -52,6 +58,7 @@
 #include "serve/answer_cache.h"
 #include "serve/answer_future.h"
 #include "serve/batch_scheduler.h"
+#include "serve/text_memo.h"
 #include "util/annotations.h"
 #include "util/exec_context.h"
 #include "util/status.h"
@@ -112,7 +119,9 @@ class ServeEngine {
       const sql::SelectStatement& stmt,
       const util::ExecContext& context = util::ExecContext());
 
-  /// Parse `sql`, then Answer() it.
+  /// Answer the query `sql` spells. A text memoized by an earlier cache
+  /// hit is answered from the cache without parsing; any other text is
+  /// parsed and served as Answer() serves its statement.
   [[nodiscard]] util::Result<core::AnswerResult> AnswerSql(
       const std::string& sql,
       const util::ExecContext& context = util::ExecContext());
@@ -125,19 +134,22 @@ class ServeEngine {
       const sql::SelectStatement& stmt,
       const util::ExecContext& context = util::ExecContext());
 
-  /// Parse `sql`, then AnswerAsync() it (parse errors resolve the future).
+  /// AnswerSql without blocking: as AnswerAsync() (parse errors resolve
+  /// the future).
   [[nodiscard]] AnswerFuture AnswerSqlAsync(
       const std::string& sql,
       const util::ExecContext& context = util::ExecContext());
 
   /// Retrain on drifted/new queries (AsqpModel::FineTune) under the
   /// writer lock: waits for in-flight queries to drain, swaps the model
-  /// state, and invalidates every cached answer from older generations.
+  /// state, invalidates every cached answer from older generations and
+  /// clears the plan cache and the text memo.
   [[nodiscard]] util::Status FineTune(const metric::Workload& new_queries);
 
   struct Stats {
     uint64_t served = 0;          ///< successful Answer() calls
     uint64_t cache_hits = 0;      ///< served straight from the cache
+    uint64_t memo_hits = 0;       ///< cache hits found via the text memo
     uint64_t admitted = 0;        ///< entered execution
     uint64_t rejected = 0;        ///< admission queue full
     uint64_t admission_expired = 0;  ///< deadline/cancel while queued
@@ -154,6 +166,7 @@ class ServeEngine {
   Stats stats() const;
 
   const AnswerCache& cache() const { return cache_; }
+  const TextMemo& memo() const { return memo_; }
   AnswerCache& mutable_cache() { return cache_; }
   const ServeOptions& options() const { return options_; }
   /// Unsynchronized escape hatch for setup/instrumentation in tests and
@@ -164,23 +177,45 @@ class ServeEngine {
 
  private:
   /// What the front half ends in: a resolved answer (cache hit, dead on
-  /// arrival, bind failure) or a ticket to admit.
+  /// arrival, parse or bind failure) or a ticket to admit.
   using FrontHalf =
       std::variant<util::Result<core::AnswerResult>, BatchScheduler::Ticket>;
 
-  /// What every Answer* entry point runs on the statement it owns: the
-  /// front half, then admission (inline or queued) and the wait.
-  util::Result<core::AnswerResult> Serve(sql::SelectStatement&& stmt,
-                                         const util::ExecContext& context);
+  /// What every Answer* entry point runs on its front half: a resolved
+  /// answer returns; a ticket goes to admission (inline or queued) and
+  /// the wait.
+  util::Result<core::AnswerResult> Serve(FrontHalf&& front);
   /// As Serve, but queued without blocking (never inline).
-  AnswerFuture ServeAsync(sql::SelectStatement&& stmt,
-                          const util::ExecContext& context);
+  AnswerFuture ServeAsync(FrontHalf&& front);
 
-  /// The front half Serve and ServeAsync share: the dead-on-arrival
-  /// check, then — under the reader lock — bind `stmt` in place,
-  /// fingerprint, cache probe and the table-set key.
-  FrontHalf Front(sql::SelectStatement&& stmt,
+  /// The front half of Answer and AnswerAsync: the dead-on-arrival check,
+  /// then Probe on a copy of `stmt`.
+  FrontHalf Front(const sql::SelectStatement& stmt,
                   const util::ExecContext& context);
+  /// The front half of AnswerSql and AnswerSqlAsync: the dead-on-arrival
+  /// check, the memo probe (MemoHit), and for a text the memo does not
+  /// answer, the parse and Probe with `sql` to memoize.
+  FrontHalf FrontSql(const std::string& sql,
+                     const util::ExecContext& context);
+
+  /// The typed status of a request already cancelled or past its deadline
+  /// (counted in expired_fast_path), or nullopt for a live one.
+  std::optional<util::Status> DeadOnArrival(const util::ExecContext& context);
+
+  /// The cached answer for a memoized `sql`, or nullopt when the memo
+  /// does not hold the text or its cache entry is gone.
+  std::optional<core::AnswerResult> MemoHit(const std::string& sql);
+
+  /// Under the reader lock: bind `stmt` in place, fingerprint, cache
+  /// probe, and the table-set key of a miss's ticket. A hit memoizes
+  /// `memo_text` when it is not null.
+  FrontHalf Probe(sql::SelectStatement&& stmt,
+                  const util::ExecContext& context,
+                  const std::string* memo_text);
+
+  /// A cache hit's answer: `cached`, flagged from_cache and counted as
+  /// served.
+  core::AnswerResult CacheHit(const core::AnswerResult& cached);
 
   /// The answer for a query the scheduler refused (queue full): load-shed
   /// to the learned fallback, or typed kResourceExhausted back-pressure.
@@ -209,6 +244,9 @@ class ServeEngine {
   ServeOptions options_;
   std::shared_ptr<util::ThreadPool> pool_;
   AnswerCache cache_;
+  /// SQL text -> fingerprint for texts whose full front half hit the
+  /// cache (internally synchronized; cleared by FineTune).
+  TextMemo memo_;
   /// Fingerprint-keyed planned-query reuse for batch members (internally
   /// synchronized; generation-stamped like the answer cache).
   plan::PlanReuseCache plan_cache_;
@@ -216,6 +254,7 @@ class ServeEngine {
 
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> admission_expired_{0};

@@ -273,7 +273,9 @@ class IndexExecTest : public ::testing::Test {
   exec::QueryEngine MakeEngine(bool with_indexes, size_t threads = 1) const {
     exec::ExecOptions options;
     options.num_threads = threads;
-    options.morsel_rows = 4;  // several morsels even over the tiny tables
+    // One-row morsels: every operator over more than one row takes its
+    // parallel branch, even over the tiny tables.
+    options.morsel_rows = 1;
     options.enable_planner = true;
     options.planner_stats = stats_;
     if (with_indexes) options.index_catalog = catalog_;

@@ -362,8 +362,10 @@ TEST(ParallelExecTest, FilterNonEmptyMatchesSequentialSemantics) {
   // queries a sequential full-result-size pass keeps (the bugfix's
   // "assert identical query counts" contract).
   const data::DatasetBundle bundle = MakeBundle("imdb");
+  // Small morsels, so the harness engine's operators run in parallel
+  // over these small tables.
   const metric::Workload filtered =
-      bench::FilterNonEmpty(*bundle.db, bundle.workload);
+      bench::FilterNonEmpty(*bundle.db, bundle.workload, /*morsel_rows=*/2);
 
   metric::ScoreEvaluator evaluator(bundle.db.get(),
                                    metric::ScoreOptions{.frame_size = 25});

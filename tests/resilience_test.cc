@@ -564,6 +564,9 @@ class ServeFaultPointTest : public ::testing::TestWithParam<ServeFaultCase> {
     // deadline is what the exec.deadline fault pretends has expired.
     config.answerable_threshold = 0.0;
     config.answer_deadline_seconds = 3600.0;
+    // One-row morsels, so the serve path's operators over more than one
+    // row take their parallel branches (one morsel runs inline).
+    config.exec_morsel_rows = 1;
     core::AsqpTrainer trainer(config);
     auto report = trainer.Train(*bundle_->db, bundle_->workload);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -585,7 +588,7 @@ class ServeFaultPointTest : public ::testing::TestWithParam<ServeFaultCase> {
     options.max_inflight = 2;
     options.queue_capacity = 4;
     // A pool, so the radix-partitioned join build (exec.join.partition)
-    // is on the serve path.
+    // is on the serve path (with the fixture's small morsels).
     options.pool_threads = 2;
     options.cache_bytes = 0;  // every request executes
     return options;

@@ -4,9 +4,9 @@
 // monitor asserts the process-wide execution-thread cap is never
 // exceeded, more synchronous sessions than slots split between inline
 // and executor-thread runs, and a FineTune races in-flight Answers
-// through the engine's writer lock. Iteration counts scale down under TSan
-// (ASQP_SANITIZE_THREAD) to keep the suite fast despite the sanitizer's
-// slowdown.
+// through the engine's writer lock, memoized texts included. Iteration
+// counts scale down under TSan (ASQP_SANITIZE_THREAD) to keep the suite
+// fast despite the sanitizer's slowdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +24,7 @@
 #include "tests/testing.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace asqp {
@@ -59,6 +60,10 @@ class ServeStressTest : public ::testing::Test {
     config.trainer.learning_rate = 2e-3;
     config.trainer.hidden_dim = 64;
     config.seed = 3;
+    // One-row morsels, so the served queries' operators over more than
+    // one row take their parallel branches on the engine's pool (one
+    // morsel runs inline).
+    config.exec_morsel_rows = 1;
     core::AsqpTrainer trainer(config);
     auto report = trainer.Train(*bundle_->db, bundle_->workload);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -340,6 +345,123 @@ TEST_F(ServeStressTest, FineTuneRacesInFlightAnswers) {
   ASSERT_OK_AND_ASSIGN(core::AnswerResult warm,
                        engine.AnswerSql(QueryMix()[0][0]));
   EXPECT_TRUE(warm.from_cache);
+}
+
+/// One digest of an answer's rows, in order.
+uint64_t RowsDigest(const exec::ResultSet& rs) {
+  std::string rows;
+  for (size_t r = 0; r < rs.num_rows(); ++r) {
+    rows += rs.RowKey(r);
+    rows += '\n';
+  }
+  return util::Fnv1a(rows);
+}
+
+/// RowsDigest of each query's answer from an engine without a cache (one
+/// engine at a time: each re-routes the model's pool).
+std::vector<uint64_t> UncachedDigests(core::AsqpModel* model,
+                                      const std::vector<std::string>& sqls) {
+  ServeOptions options;
+  options.pool_threads = 2;
+  options.cache_bytes = 0;
+  ServeEngine engine(model, options);
+  std::vector<uint64_t> digests;
+  for (const std::string& sql : sqls) {
+    auto result = engine.AnswerSql(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    digests.push_back(result.ok() ? RowsDigest(result.value().result) : 0);
+  }
+  return digests;
+}
+
+TEST_F(ServeStressTest, MemoizedTextsDuringFineTuneNeverMixGenerations) {
+  // One text per query, so each text's reference is its own answer: two
+  // spellings of one query may route differently, and the cache keeps
+  // whichever executed first.
+  std::vector<std::string> sqls;
+  for (const auto& spellings : QueryMix()) sqls.push_back(spellings[0]);
+  const std::vector<uint64_t> before = UncachedDigests(model_.get(), sqls);
+
+  struct Seen {
+    size_t query = 0;
+    bool after_finetune = false;
+    uint64_t digest = 0;
+  };
+  std::vector<std::vector<Seen>> seen(kSessions);
+  uint64_t memo_hits = 0;
+  {
+    ServeOptions options;
+    options.max_inflight = 4;
+    options.queue_capacity = 2 * kSessions;
+    options.pool_threads = 2;
+    options.cache_bytes = 8 << 20;
+    ServeEngine engine(model_.get(), options);
+    // A miss, a full-path hit that memoizes the text, then a memo hit.
+    for (const std::string& sql : sqls) {
+      for (int i = 0; i < 3; ++i) ASSERT_OK(engine.AnswerSql(sql).status());
+    }
+    ASSERT_EQ(engine.stats().memo_hits, sqls.size());
+
+    ASSERT_OK_AND_ASSIGN(
+        metric::Workload drift,
+        metric::Workload::FromSql(
+            {"SELECT p.name FROM person p WHERE p.birth_year > 1970",
+             "SELECT p.name, p.birth_year FROM person p "
+             "WHERE p.birth_year < 1960"}));
+    std::atomic<bool> tuned{false};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> answered{0};
+    std::atomic<uint64_t> answered_after{0};
+    std::vector<std::thread> sessions;
+    for (size_t s = 0; s < kSessions; ++s) {
+      sessions.emplace_back([&, s] {
+        for (size_t iter = 0; !stop.load(std::memory_order_relaxed); ++iter) {
+          Seen one;
+          one.query = (s + iter) % sqls.size();
+          one.after_finetune = tuned.load(std::memory_order_acquire);
+          auto result = engine.AnswerSql(sqls[one.query]);
+          // Rejections are acceptable under this load; what is served
+          // must come from one generation.
+          if (!result.ok()) continue;
+          one.digest = RowsDigest(result.value().result);
+          seen[s].push_back(one);
+          answered.fetch_add(1, std::memory_order_relaxed);
+          if (one.after_finetune) {
+            answered_after.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    while (answered.load(std::memory_order_relaxed) < 4 * kSessions) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_OK(engine.FineTune(drift));
+    tuned.store(true, std::memory_order_release);
+    while (answered_after.load(std::memory_order_relaxed) < 4 * kSessions) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : sessions) t.join();
+    memo_hits = engine.stats().memo_hits;
+  }
+  const std::vector<uint64_t> after = UncachedDigests(model_.get(), sqls);
+
+  // Memo hits kept coming during the race, not only in the warm-up.
+  EXPECT_GT(memo_hits, sqls.size());
+  size_t mixed = 0;
+  size_t stale = 0;
+  for (const std::vector<Seen>& session : seen) {
+    for (const Seen& one : session) {
+      const bool is_after = one.digest == after[one.query];
+      if (one.after_finetune) {
+        if (!is_after) ++stale;
+      } else if (!is_after && one.digest != before[one.query]) {
+        ++mixed;
+      }
+    }
+  }
+  EXPECT_EQ(mixed, 0u) << "answers matching neither generation";
+  EXPECT_EQ(stale, 0u) << "old-generation answers after FineTune returned";
 }
 
 TEST_F(ServeStressTest, ChaosOverloadNeverLeaksRawTimeoutsToClients) {

@@ -1,9 +1,10 @@
 // Serving-layer tests: AnswerCache unit behavior (LRU, byte budget,
-// generations, collisions), BatchScheduler admission (inline solo runs,
-// arrival order, group commit, shutdown), and ServeEngine end-to-end on
-// a trained model (cache hits byte-identical to executions, equivalent
-// spellings share an entry, FineTune invalidates, shared-pool answers
-// identical at every pool size, batching, admission outcomes).
+// generations, collisions), TextMemo unit behavior, BatchScheduler
+// admission (inline solo runs, arrival order, group commit, shutdown), and
+// ServeEngine end-to-end on a trained model (cache hits byte-identical to
+// executions, equivalent spellings share an entry, FineTune invalidates,
+// shared-pool answers identical at every pool size, batching, admission
+// outcomes, and the exact-text memo's contract).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "serve/answer_cache.h"
 #include "serve/batch_scheduler.h"
 #include "serve/serve_engine.h"
+#include "serve/text_memo.h"
 #include "sql/canonicalize.h"
 #include "sql/parser.h"
 #include "tests/slot_hold.h"
@@ -156,6 +158,72 @@ TEST(AnswerCacheTest, ClearDropsEverything) {
   AnswerCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
+}
+
+// ---- TextMemo unit tests ----------------------------------------------
+
+TEST(TextMemoTest, LookupMatchesTheExactText) {
+  TextMemo memo(1 << 20, /*num_shards=*/2);
+  sql::QueryFingerprint fp;
+  EXPECT_FALSE(memo.Lookup("SELECT 1", &fp));
+  memo.Admit("SELECT 1", MakeFp(42, "q1"));
+  ASSERT_TRUE(memo.Lookup("SELECT 1", &fp));
+  EXPECT_EQ(fp, MakeFp(42, "q1"));
+  // Exact text only: a respelling is a different key.
+  EXPECT_FALSE(memo.Lookup("SELECT 1 ", &fp));
+  EXPECT_FALSE(memo.Lookup("select 1", &fp));
+  TextMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.admissions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_GT(stats.bytes, 0u);
+}
+
+TEST(TextMemoTest, EvictsLruUnderByteBudget) {
+  const std::string canonical(64, 'c');
+  std::vector<std::string> texts;
+  for (int i = 0; i < 4; ++i) texts.push_back(std::string(64, 'a' + i));
+  // Room for three entries in a single shard.
+  TextMemo probe(1 << 20, 1);
+  probe.Admit(texts[0], MakeFp(0, canonical));
+  const size_t one = probe.stats().bytes;
+  TextMemo memo(3 * one + one / 2, 1);
+  for (int i = 0; i < 3; ++i) memo.Admit(texts[i], MakeFp(i, canonical));
+  sql::QueryFingerprint fp;
+  // Touch texts[0] so texts[1] becomes the LRU victim.
+  ASSERT_TRUE(memo.Lookup(texts[0], &fp));
+  memo.Admit(texts[3], MakeFp(3, canonical));
+  TextMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_LE(stats.bytes, memo.byte_budget());
+  EXPECT_FALSE(memo.Lookup(texts[1], &fp));
+  EXPECT_TRUE(memo.Lookup(texts[0], &fp));
+  EXPECT_TRUE(memo.Lookup(texts[3], &fp));
+  EXPECT_EQ(fp.hash, 3u);
+}
+
+TEST(TextMemoTest, OversizedEntryIsNotKept) {
+  TextMemo memo(256, 1);
+  memo.Admit(std::string(1024, ' '), MakeFp(1, "q"));
+  sql::QueryFingerprint fp;
+  EXPECT_FALSE(memo.Lookup(std::string(1024, ' '), &fp));
+  EXPECT_EQ(memo.stats().entries, 0u);
+  EXPECT_EQ(memo.stats().admissions, 0u);
+}
+
+TEST(TextMemoTest, ClearDropsEverything) {
+  TextMemo memo(1 << 20, 4);
+  for (int i = 0; i < 6; ++i) {
+    memo.Admit("q" + std::to_string(i), MakeFp(i, "c"));
+  }
+  memo.Clear();
+  TextMemo::Stats stats = memo.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  sql::QueryFingerprint fp;
+  EXPECT_FALSE(memo.Lookup("q0", &fp));
 }
 
 // ---- BatchScheduler admission ----------------------------------------
@@ -443,6 +511,10 @@ class ServeEngineTest : public ::testing::Test {
     config.trainer.learning_rate = 2e-3;
     config.trainer.hidden_dim = 64;
     config.seed = 3;
+    // One-row morsels, so the served queries' operators over more than
+    // one row take their parallel branches on the engine's pool (one
+    // morsel runs inline).
+    config.exec_morsel_rows = 1;
     // Route every query through the approximation set, so batch members
     // share scans whether or not FineTuneInvalidatesCachedAnswers has
     // already retrained the shared model: this short training leaves
@@ -998,6 +1070,236 @@ TEST_F(ServeEngineTest, AdmissionExpiryWhileQueuedShedsOrDegrades) {
   EXPECT_EQ(stats.admission_expired - before.admission_expired, 2u);
   EXPECT_EQ(stats.admitted - before.admitted, 0u);
   EXPECT_EQ(stats.degraded - before.degraded, 1u);
+}
+
+// ---- Exact-text memo ---------------------------------------------------
+
+/// Every field a client can read must match: a memo hit returns what the
+/// full front half's cache hit returns.
+void ExpectSameAnswer(const core::AnswerResult& got,
+                      const core::AnswerResult& want) {
+  EXPECT_EQ(got.result.column_names(), want.result.column_names());
+  ASSERT_EQ(got.result.num_rows(), want.result.num_rows());
+  for (size_t i = 0; i < got.result.num_rows(); ++i) {
+    EXPECT_EQ(got.result.RowKey(i), want.result.RowKey(i)) << "row " << i;
+  }
+  EXPECT_EQ(got.used_approximation, want.used_approximation);
+  EXPECT_EQ(got.tier, want.tier);
+  EXPECT_EQ(std::memcmp(&got.answerability, &want.answerability,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(got.fell_back, want.fell_back);
+  EXPECT_EQ(got.fallback_reason, want.fallback_reason);
+  EXPECT_EQ(got.error_estimate, want.error_estimate);
+  EXPECT_EQ(got.from_cache, want.from_cache);
+}
+
+TEST_F(ServeEngineTest, MemoHitReturnsTheFullPathBytesForEverySpelling) {
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult cold, engine.AnswerSql(kQuery));
+  ASSERT_FALSE(cold.from_cache);
+  const std::vector<std::string> spellings = {
+      kQuery,
+      // Renamed aliases.
+      "SELECT x.name, y.role FROM title x, cast_info y "
+      "WHERE y.movie_id = x.id AND x.production_year >= 2000",
+      // Flipped comparisons.
+      "SELECT t.name, ci.role FROM title t, cast_info ci "
+      "WHERE t.id = ci.movie_id AND 2000 <= t.production_year",
+      // Reordered conjuncts.
+      "SELECT t.name, ci.role FROM title t, cast_info ci "
+      "WHERE t.production_year >= 2000 AND ci.movie_id = t.id",
+      // Changed case.
+      "select T.NAME, CI.ROLE from TITLE T, CAST_INFO CI "
+      "where CI.MOVIE_ID = T.ID and T.PRODUCTION_YEAR >= 2000",
+  };
+  for (const std::string& sql : spellings) {
+    SCOPED_TRACE(sql);
+    const uint64_t memo_hits = engine.stats().memo_hits;
+    // The full front half hits the cache and memoizes the text...
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult full, engine.AnswerSql(sql));
+    EXPECT_EQ(engine.stats().memo_hits, memo_hits);
+    EXPECT_TRUE(full.from_cache);
+    // ...so the repeat is a memo hit with the same bytes, the first
+    // spelling's column names included.
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult memo, engine.AnswerSql(sql));
+    EXPECT_EQ(engine.stats().memo_hits, memo_hits + 1);
+    ExpectSameAnswer(memo, full);
+    EXPECT_EQ(memo.result.column_names(), cold.result.column_names());
+  }
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.memo_hits, spellings.size());
+  EXPECT_EQ(stats.cache_hits, 2 * spellings.size());
+  EXPECT_EQ(stats.served, 1 + 2 * spellings.size());
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(engine.memo().stats().entries, spellings.size());
+}
+
+TEST_F(ServeEngineTest, MemoizedTextWhoseEntryIsGoneTakesTheFullPath) {
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult cold, engine.AnswerSql(kQuery));
+  for (int i = 0; i < 2; ++i) ASSERT_OK(engine.AnswerSql(kQuery).status());
+  ASSERT_EQ(engine.stats().memo_hits, 1u);
+  // The cache entry goes (as an eviction would take it); the text stays
+  // memoized, and its next request executes again.
+  engine.mutable_cache().Clear();
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult again, engine.AnswerSql(kQuery));
+  EXPECT_FALSE(again.from_cache);
+  EXPECT_EQ(Keys(again.result), Keys(cold.result));
+  EXPECT_EQ(engine.stats().memo_hits, 1u);
+  EXPECT_EQ(engine.stats().admitted, 2u);
+  // The refilled entry is found through the memo again.
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult memo, engine.AnswerSql(kQuery));
+  EXPECT_TRUE(memo.from_cache);
+  EXPECT_EQ(engine.stats().memo_hits, 2u);
+  EXPECT_EQ(Keys(memo.result), Keys(cold.result));
+}
+
+TEST_F(ServeEngineTest, MemoNeverAdmitsParseOrBindFailures) {
+  ServeEngine engine(model_.get(), SmallServe());
+  for (const std::string sql :
+       {"SELEC t.name FROM title t", "SELECT t.nope FROM title t",
+        "SELECT t.name FROM no_such_table t"}) {
+    SCOPED_TRACE(sql);
+    const util::Result<core::AnswerResult> first = engine.AnswerSql(sql);
+    ASSERT_FALSE(first.ok());
+    for (int i = 0; i < 2; ++i) {
+      const util::Result<core::AnswerResult> again = engine.AnswerSql(sql);
+      ASSERT_FALSE(again.ok());
+      EXPECT_EQ(again.status().code(), first.status().code());
+      EXPECT_EQ(again.status().message(), first.status().message());
+      util::Result<core::AnswerResult> async =
+          engine.AnswerSqlAsync(sql).Get();
+      ASSERT_FALSE(async.ok());
+      EXPECT_EQ(async.status().code(), first.status().code());
+    }
+  }
+  EXPECT_EQ(engine.memo().stats().admissions, 0u);
+  EXPECT_EQ(engine.memo().stats().entries, 0u);
+  EXPECT_EQ(engine.stats().served, 0u);
+}
+
+TEST_F(ServeEngineTest, MemoizedTextAfterFineTuneServesTheNewGeneration) {
+  std::vector<std::string> served;
+  {
+    ServeEngine engine(model_.get(), SmallServe());
+    for (int i = 0; i < 2; ++i) ASSERT_OK(engine.AnswerSql(kQuery).status());
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult stale, engine.AnswerSql(kQuery));
+    ASSERT_EQ(engine.stats().memo_hits, 1u);
+    ASSERT_TRUE(stale.from_cache);
+
+    ASSERT_OK_AND_ASSIGN(
+        metric::Workload drift,
+        metric::Workload::FromSql(
+            {"SELECT p.name FROM person p WHERE p.birth_year > 1985",
+             "SELECT p.name, p.birth_year FROM person p "
+             "WHERE p.birth_year < 1945"}));
+    ASSERT_OK(engine.FineTune(drift));
+    EXPECT_EQ(engine.memo().stats().entries, 0u);
+
+    // The first answer after the fine-tune executes on the new
+    // generation, never the memoized text's stale cached answer.
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult fresh, engine.AnswerSql(kQuery));
+    EXPECT_FALSE(fresh.from_cache);
+    EXPECT_EQ(engine.stats().memo_hits, 1u);
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult full, engine.AnswerSql(kQuery));
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult memo, engine.AnswerSql(kQuery));
+    EXPECT_EQ(engine.stats().memo_hits, 2u);
+    ExpectSameAnswer(memo, full);
+    EXPECT_EQ(Keys(memo.result), Keys(fresh.result));
+    served = Keys(memo.result);
+  }
+  // The new generation's answer, as an engine without a cache computes it.
+  ServeOptions uncached = SmallServe();
+  uncached.cache_bytes = 0;
+  ServeEngine reference(model_.get(), uncached);
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult want, reference.AnswerSql(kQuery));
+  EXPECT_EQ(served, Keys(want.result));
+}
+
+TEST_F(ServeEngineTest, MemoizedTextWithADeadContextGetsItsTypedStatus) {
+  ServeEngine engine(model_.get(), SmallServe());
+  for (int i = 0; i < 3; ++i) ASSERT_OK(engine.AnswerSql(kQuery).status());
+  ASSERT_EQ(engine.stats().memo_hits, 1u);
+  const ServeEngine::Stats before = engine.stats();
+
+  util::ExecContext expired;
+  expired.set_deadline(util::Deadline::AfterSeconds(0.0));
+  util::ExecContext cancelled;
+  cancelled.RequestCancel();
+  const util::Result<core::AnswerResult> late =
+      engine.AnswerSql(kQuery, expired);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), util::StatusCode::kDeadlineExceeded);
+  const util::Result<core::AnswerResult> gone =
+      engine.AnswerSql(kQuery, cancelled);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), util::StatusCode::kCancelled);
+  AnswerFuture late_async = engine.AnswerSqlAsync(kQuery, expired);
+  ASSERT_TRUE(late_async.Ready());
+  EXPECT_EQ(late_async.Get().status().code(),
+            util::StatusCode::kDeadlineExceeded);
+
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.expired_fast_path - before.expired_fast_path, 3u);
+  EXPECT_EQ(stats.memo_hits, before.memo_hits);
+  EXPECT_EQ(stats.cache_hits, before.cache_hits);
+  EXPECT_EQ(stats.served, before.served);
+}
+
+TEST_F(ServeEngineTest, MoreRepeatedTextsThanTheMemoHoldsStayCorrect) {
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult cold, engine.AnswerSql(kQuery));
+  // Distinct texts of one query (trailing blanks), three times as many
+  // bytes as the memo holds.
+  constexpr size_t kPad = 8192;
+  const size_t count = 3 * engine.memo().byte_budget() / kPad;
+  std::vector<std::string> texts;
+  for (size_t i = 0; i < count; ++i) {
+    texts.push_back(std::string(kQuery) + std::string(kPad + i, ' '));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& sql : texts) {
+      ASSERT_OK_AND_ASSIGN(core::AnswerResult r, engine.AnswerSql(sql));
+      ASSERT_TRUE(r.from_cache);
+      ASSERT_EQ(Keys(r.result), Keys(cold.result));
+      ASSERT_EQ(r.result.column_names(), cold.result.column_names());
+    }
+  }
+  const TextMemo::Stats memo = engine.memo().stats();
+  EXPECT_GT(memo.evictions, 0u);
+  EXPECT_LE(memo.bytes, engine.memo().byte_budget());
+  EXPECT_LT(memo.entries, count);
+  EXPECT_EQ(engine.stats().cache_hits, 3 * count);
+}
+
+TEST_F(ServeEngineTest, NeverRepeatingStreamAdmitsNothing) {
+  ServeEngine engine(model_.get(), SmallServe());
+  for (int year = 1950; year < 1980; ++year) {
+    ASSERT_OK_AND_ASSIGN(
+        core::AnswerResult r,
+        engine.AnswerSql("SELECT t.name FROM title t WHERE "
+                         "t.production_year >= " +
+                         std::to_string(year)));
+    EXPECT_FALSE(r.from_cache);
+  }
+  const TextMemo::Stats memo = engine.memo().stats();
+  EXPECT_EQ(memo.admissions, 0u);
+  EXPECT_EQ(memo.entries, 0u);
+  EXPECT_EQ(memo.misses, 30u);
+  EXPECT_EQ(engine.stats().memo_hits, 0u);
+}
+
+TEST_F(ServeEngineTest, MemoWithoutACacheAdmitsNothing) {
+  ServeOptions options = SmallServe();
+  options.cache_bytes = 0;
+  ServeEngine engine(model_.get(), options);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult r, engine.AnswerSql(kQuery));
+    EXPECT_FALSE(r.from_cache);
+  }
+  EXPECT_EQ(engine.memo().stats().admissions, 0u);
+  EXPECT_EQ(engine.stats().memo_hits, 0u);
 }
 
 }  // namespace
