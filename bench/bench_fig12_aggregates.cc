@@ -35,7 +35,7 @@ std::string CategoryOf(const sql::SelectStatement& stmt) {
 exec::ResultSet ScaleAggregates(const exec::ResultSet& rs,
                                 const sql::SelectStatement& stmt,
                                 double inverse_fraction) {
-  exec::ResultSet out(rs.column_names());
+  exec::ResultSet::Rows rows;
   for (size_t r = 0; r < rs.num_rows(); ++r) {
     std::vector<storage::Value> row = rs.row(r);
     for (size_t c = 0; c < stmt.items.size() && c < row.size(); ++c) {
@@ -50,9 +50,9 @@ exec::ResultSet ScaleAggregates(const exec::ResultSet& rs,
         }
       }
     }
-    out.AddRow(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return out;
+  return exec::ResultSet(rs.column_names(), std::move(rows));
 }
 
 /// Hybrid calibration for the ASQP approximation set: the set is biased
@@ -89,7 +89,7 @@ exec::ResultSet CalibrateWithPilot(const exec::ResultSet& subset_rs,
     }
   }
 
-  exec::ResultSet out(subset_rs.column_names());
+  exec::ResultSet::Rows rows;
   for (size_t r = 0; r < subset_rs.num_rows(); ++r) {
     std::vector<storage::Value> row = subset_rs.row(r);
     for (size_t c = 0; c < stmt.items.size() && c < row.size(); ++c) {
@@ -104,9 +104,9 @@ exec::ResultSet CalibrateWithPilot(const exec::ResultSet& subset_rs,
         }
       }
     }
-    out.AddRow(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return out;
+  return exec::ResultSet(subset_rs.column_names(), std::move(rows));
 }
 
 struct CategoryErrors {

@@ -2,7 +2,8 @@
 // paper's end-to-end numbers rest on: hash join (sequential and
 // morsel-parallel across thread counts), Eq.-1 score evaluation,
 // query/tuple embedding, k-means, one PPO policy step, one minibatch PPO
-// update, and the SQL front end (parse, bind, fingerprint).
+// update, the SQL front end (parse, bind, fingerprint), and an answer
+// cache hit.
 //
 // Pass `--json out.json` (or set ASQP_BENCH_JSON) to also emit the
 // measurements as machine-readable records; CI's bench-smoke job diffs
@@ -18,6 +19,7 @@
 #include "rl/policy.h"
 #include "rl/rollout.h"
 #include "rl/trainer.h"
+#include "serve/answer_cache.h"
 #include "sql/binder.h"
 #include "sql/canonicalize.h"
 #include "sql/parser.h"
@@ -459,6 +461,34 @@ void BM_SqlFingerprint(benchmark::State& state) {
                           static_cast<int64_t>(bound.size()));
 }
 BENCHMARK(BM_SqlFingerprint);
+
+/// One cache hit as ServeEngine serves it: AnswerCache::Lookup plus the
+/// copy of the hit's AnswerResult, over an answer of Arg(0) rows of a
+/// title-length string and an int.
+void BM_AnswerCacheHit(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  exec::ResultSet::Rows rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({storage::Value("exploratory title #" + std::to_string(i)),
+                    storage::Value(static_cast<int64_t>(i))});
+  }
+  core::AnswerResult answer;
+  answer.result =
+      exec::ResultSet({"title.name", "title.production_year"}, std::move(rows));
+  sql::QueryFingerprint fp;
+  fp.canonical = "select title.name, title.production_year from title";
+  fp.hash = 0x5eed;
+  serve::AnswerCache cache(64 << 20);
+  cache.Insert(fp, /*generation=*/0, std::move(answer));
+  for (auto _ : state) {
+    std::shared_ptr<const core::AnswerResult> hit = cache.Lookup(fp, 0);
+    core::AnswerResult copy = *hit;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AnswerCacheHit)->Arg(16)->Arg(1024);
 
 /// Console reporter that additionally captures every per-iteration run as
 /// a BenchRecord (aggregates and errored runs are skipped).

@@ -341,7 +341,7 @@ Result<LearnedAnswer> LearnedFallback::Answer(
     names.push_back(OutputName(item));
   }
   LearnedAnswer answer;
-  answer.result = exec::ResultSet(std::move(names));
+  exec::ResultSet::Rows rows;
   answer.category = CategoryOf(stmt);
   answer.error_estimate = ErrorEstimateFor(stmt);
 
@@ -474,8 +474,9 @@ Result<LearnedAnswer> LearnedFallback::Answer(
           return Status::NotImplemented("learned fallback: unsupported item");
       }
     }
-    answer.result.AddRow(std::move(row));
+    rows.push_back(std::move(row));
   }
+  answer.result = exec::ResultSet(std::move(names), std::move(rows));
   return answer;
 }
 

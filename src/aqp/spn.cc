@@ -546,7 +546,7 @@ Result<exec::ResultSet> Spn::EstimateAggregateQuery(
                                : util::ToLower(sql::AggFuncName(item.agg)))
                         : item.alias);
   }
-  exec::ResultSet out(names);
+  exec::ResultSet::Rows rows;
 
   // Group values: distinct categories of the GROUP BY column.
   std::vector<std::optional<std::string>> groups;
@@ -623,9 +623,9 @@ Result<exec::ResultSet> Spn::EstimateAggregateQuery(
           return Status::NotImplemented("unsupported aggregate for SPN");
       }
     }
-    out.AddRow(std::move(row));
+    rows.push_back(std::move(row));
   }
-  return out;
+  return exec::ResultSet(std::move(names), std::move(rows));
 }
 
 }  // namespace aqp

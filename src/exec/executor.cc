@@ -666,15 +666,11 @@ class Execution {
   };
 
   Result<ResultSet> Project() {
-    ResultSet out(OutputNames());
+    std::vector<std::string> names = OutputNames();
     const size_t input = joined_.size();
     const bool need_order = !q_.stmt.order_by.empty();
     const bool has_limit = q_.stmt.limit >= 0;
     const size_t limit = has_limit ? static_cast<size_t>(q_.stmt.limit) : 0;
-
-    size_t expect = input;
-    if (has_limit) expect = std::min(expect, limit);
-    out.Reserve(expect);
 
     // Without ORDER BY and DISTINCT each input tuple yields exactly one
     // output row, so a LIMIT needs only the input prefix — the parallel
@@ -683,6 +679,10 @@ class Execution {
     if (has_limit && !need_order && !q_.stmt.distinct) {
       process = std::min(process, limit);
     }
+    // Without DISTINCT every processed tuple is merged into `out`; with it,
+    // the count is unknown and `out` grows as rows survive.
+    ResultSet::Rows out;
+    if (!q_.stmt.distinct) out.reserve(process);
 
     std::vector<std::vector<Value>> order_keys;
     std::unordered_set<std::string> distinct_seen;
@@ -698,6 +698,7 @@ class Execution {
         ASQP_RETURN_NOT_OK(ticker->Tick("projection"));
         jr.row_ids = joined_.tuple(i);
         std::vector<Value> row;
+        row.reserve(names.size());
         for (const SelectItem& item : q_.stmt.items) {
           if (item.star) {
             for (size_t t = 0; t < q_.num_tables(); ++t) {
@@ -729,7 +730,7 @@ class Execution {
     const auto merge_partial = [&](ProjPartial* partial) -> Status {
       for (size_t i = 0; i < partial->rows.size(); ++i) {
         ASQP_RETURN_NOT_OK(ticker_.Tick("projection merge"));
-        if (!need_order && has_limit && out.num_rows() >= limit) break;
+        if (!need_order && has_limit && out.size() >= limit) break;
         std::vector<Value>& row = partial->rows[i];
         if (q_.stmt.distinct) {
           std::string key;
@@ -740,7 +741,7 @@ class Execution {
           if (!distinct_seen.insert(std::move(key)).second) continue;
         }
         if (need_order) order_keys.push_back(std::move(partial->keys[i]));
-        out.AddRow(std::move(row));
+        out.push_back(std::move(row));
       }
       return Status::OK();
     };
@@ -763,7 +764,7 @@ class Execution {
     }
 
     if (need_order) {
-      std::vector<size_t> perm(out.num_rows());
+      std::vector<size_t> perm(out.size());
       for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
       std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
         for (size_t k = 0; k < q_.stmt.order_by.size(); ++k) {
@@ -772,16 +773,17 @@ class Execution {
         }
         return false;
       });
-      std::vector<std::vector<Value>> sorted;
-      sorted.reserve(perm.size());
-      for (size_t idx : perm) sorted.push_back(std::move(out.mutable_rows()[idx]));
-      out.mutable_rows() = std::move(sorted);
-      if (q_.stmt.limit >= 0 &&
-          out.num_rows() > static_cast<size_t>(q_.stmt.limit)) {
-        out.mutable_rows().resize(static_cast<size_t>(q_.stmt.limit));
+      // Keep only the rows the LIMIT returns.
+      const size_t keep =
+          has_limit ? std::min(perm.size(), limit) : perm.size();
+      ResultSet::Rows sorted;
+      sorted.reserve(keep);
+      for (size_t i = 0; i < keep; ++i) {
+        sorted.push_back(std::move(out[perm[i]]));
       }
+      out = std::move(sorted);
     }
-    return out;
+    return ResultSet(std::move(names), std::move(out));
   }
 
   /// Partial aggregate state for one select item within one group. COUNT,
@@ -963,7 +965,13 @@ class Execution {
                 return a->first < b->first;
               });
 
-    ResultSet out(OutputNames());
+    std::vector<std::string> names = OutputNames();
+    ResultSet::Rows out;
+    size_t emit = ordered.size();
+    if (!post_process && q_.stmt.limit >= 0) {
+      emit = std::min(emit, static_cast<size_t>(q_.stmt.limit));
+    }
+    out.reserve(emit);
     for (AggTable::value_type* kv : ordered) {
       AggGroup& states = kv->second;
       std::vector<Value> row;
@@ -1010,45 +1018,44 @@ class Execution {
             break;
         }
       }
-      out.AddRow(std::move(row));
+      out.push_back(std::move(row));
       // Early LIMIT only when no HAVING/ORDER BY will reshape the output.
       if (!post_process && q_.stmt.limit >= 0 &&
-          out.num_rows() >= static_cast<size_t>(q_.stmt.limit)) {
+          out.size() >= static_cast<size_t>(q_.stmt.limit)) {
         break;
       }
     }
     // An aggregate query without GROUP BY always yields one row, even over
     // empty input.
-    if (q_.stmt.group_by.empty() && out.num_rows() == 0 &&
+    if (q_.stmt.group_by.empty() && out.empty() &&
         (q_.stmt.limit < 0 || q_.stmt.limit > 0)) {
       std::vector<Value> row;
+      row.reserve(num_items);
       for (const SelectItem& item : q_.stmt.items) {
         row.push_back(item.agg == AggFunc::kCount ? Value(int64_t{0}) : Value());
       }
-      out.AddRow(std::move(row));
+      out.push_back(std::move(row));
     }
 
     // HAVING: filter output rows by name-resolved predicate.
     if (q_.stmt.having != nullptr) {
-      std::vector<std::vector<Value>> kept;
-      for (auto& row : out.mutable_rows()) {
+      ResultSet::Rows kept;
+      for (auto& row : out) {
         ASQP_ASSIGN_OR_RETURN(
-            bool pass, EvaluatePredicateOnRow(*q_.stmt.having,
-                                              out.column_names(), row));
+            bool pass, EvaluatePredicateOnRow(*q_.stmt.having, names, row));
         if (pass) kept.push_back(std::move(row));
       }
-      out.mutable_rows() = std::move(kept);
+      out = std::move(kept);
     }
 
     // ORDER BY over the aggregate output.
     if (!q_.stmt.order_by.empty()) {
-      const size_t n = out.num_rows();
+      const size_t n = out.size();
       std::vector<std::vector<Value>> keys(n);
       for (size_t i = 0; i < n; ++i) {
         for (const auto& o : q_.stmt.order_by) {
-          ASQP_ASSIGN_OR_RETURN(
-              Value key,
-              EvaluateScalarOnRow(*o.expr, out.column_names(), out.row(i)));
+          ASQP_ASSIGN_OR_RETURN(Value key,
+                                EvaluateScalarOnRow(*o.expr, names, out[i]));
           keys[i].push_back(std::move(key));
         }
       }
@@ -1061,17 +1068,23 @@ class Execution {
         }
         return false;
       });
-      std::vector<std::vector<Value>> sorted;
-      sorted.reserve(n);
-      for (size_t idx : perm) sorted.push_back(std::move(out.mutable_rows()[idx]));
-      out.mutable_rows() = std::move(sorted);
+      // Keep only the rows the LIMIT returns.
+      const size_t keep =
+          q_.stmt.limit >= 0 ? std::min(n, static_cast<size_t>(q_.stmt.limit))
+                             : n;
+      ResultSet::Rows sorted;
+      sorted.reserve(keep);
+      for (size_t i = 0; i < keep; ++i) {
+        sorted.push_back(std::move(out[perm[i]]));
+      }
+      out = std::move(sorted);
     }
 
     if (post_process && q_.stmt.limit >= 0 &&
-        out.num_rows() > static_cast<size_t>(q_.stmt.limit)) {
-      out.mutable_rows().resize(static_cast<size_t>(q_.stmt.limit));
+        out.size() > static_cast<size_t>(q_.stmt.limit)) {
+      out.resize(static_cast<size_t>(q_.stmt.limit));
     }
-    return out;
+    return ResultSet(std::move(names), std::move(out));
   }
 
   const BoundQuery& q_;

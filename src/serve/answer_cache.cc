@@ -12,8 +12,15 @@ size_t EstimateAnswerBytes(const core::AnswerResult& result) {
   for (const std::string& name : result.result.column_names()) {
     bytes += sizeof(std::string) + name.size();
   }
-  for (const auto& row : result.result.rows()) {
-    bytes += sizeof(row) + row.size() * sizeof(storage::Value);
+  // Capacities, not sizes: an entry keeps each allocation whole.
+  const exec::ResultSet::Rows& rows = result.result.rows();
+  if (!rows.empty()) {
+    // The shared rows block: the rows vector, its control block, its slots.
+    bytes += sizeof(exec::ResultSet::Rows) + 2 * sizeof(void*) +
+             rows.capacity() * sizeof(exec::ResultSet::Row);
+  }
+  for (const auto& row : rows) {
+    bytes += row.capacity() * sizeof(storage::Value);
     for (const storage::Value& v : row) {
       if (v.type() == storage::ValueType::kString) bytes += v.AsString().size();
     }
@@ -58,7 +65,9 @@ std::shared_ptr<const core::AnswerResult> AnswerCache::Lookup(
 
 void AnswerCache::Insert(const sql::QueryFingerprint& fp, uint64_t generation,
                          core::AnswerResult result) {
-  const size_t bytes = EstimateAnswerBytes(result);
+  // The entry keeps its own copy of the canonical key, often longer than
+  // the answer itself.
+  const size_t bytes = fp.canonical.size() + EstimateAnswerBytes(result);
   if (bytes > shard_budget_) return;  // would evict the whole shard
   Shard& shard = ShardFor(fp.hash);
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -23,7 +23,9 @@ namespace asqp {
 namespace serve {
 
 /// Rough in-memory footprint of a cached answer (values + strings +
-/// column names + row overhead). Used for the cache's byte budget.
+/// column names + the shared rows block), counting each vector by its
+/// capacity, spare slots included. With its canonical key, what the
+/// cache's byte budget charges an entry.
 size_t EstimateAnswerBytes(const core::AnswerResult& result);
 
 class AnswerCache {
@@ -42,9 +44,9 @@ class AnswerCache {
     size_t bytes = 0;
   };
 
-  /// `byte_budget` caps the summed EstimateAnswerBytes of live entries
-  /// (0 disables caching entirely); the budget is split evenly across
-  /// `num_shards` independently locked shards.
+  /// `byte_budget` caps the summed EstimateAnswerBytes plus canonical key
+  /// bytes of live entries (0 disables caching entirely); the budget is
+  /// split evenly across `num_shards` independently locked shards.
   explicit AnswerCache(size_t byte_budget, size_t num_shards = 8);
 
   AnswerCache(const AnswerCache&) = delete;
@@ -59,8 +61,9 @@ class AnswerCache {
       const sql::QueryFingerprint& fp, uint64_t generation);
 
   /// Insert (or replace) the answer for `fp` at `generation`, then evict
-  /// LRU entries until the shard is back under budget. Answers larger
-  /// than a whole shard's budget are not cached.
+  /// LRU entries until the shard is back under budget. Entries larger
+  /// than a whole shard's budget are not cached. The entry shares
+  /// `result`'s rows with every other copy of it.
   void Insert(const sql::QueryFingerprint& fp, uint64_t generation,
               core::AnswerResult result);
 

@@ -20,15 +20,6 @@ util::Result<core::AnswerResult> AnswerFuture::Get() const {
   return *state_->result;
 }
 
-util::Result<core::AnswerResult> AnswerFuture::Take() {
-  if (state_ == nullptr) {
-    return util::Status::Internal("waiting on an invalid AnswerFuture");
-  }
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [this] { return state_->result.has_value(); });
-  return std::move(*state_->result);
-}
-
 void AnswerFuture::OnReady(Callback callback) const {
   if (state_ == nullptr) return;
   // Once resolved the result is set-once and immutable, so a pointer taken

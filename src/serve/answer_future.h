@@ -2,12 +2,12 @@
 //
 // ServeEngine::AnswerAsync returns an AnswerFuture immediately; the batch
 // scheduler resolves the paired AnswerPromise when the query's batch
-// executes. A session waits with Get() (blocking, returns a copy of the
-// shared result), registers an OnReady callback (invoked inline if the
-// future already resolved, otherwise on the resolving executor thread), or
-// multiplexes many futures onto one waiter with a CompletionQueue — so
-// hundreds of logical sessions can be in flight while only the scheduler's
-// fixed executor threads exist.
+// executes. A session waits with Get() (blocking; returns a copy of the
+// result that shares its rows), registers an OnReady callback (invoked
+// inline if the future already resolved, otherwise on the resolving
+// executor thread), or multiplexes many futures onto one waiter with a
+// CompletionQueue — so hundreds of logical sessions can be in flight
+// while only the scheduler's fixed executor threads exist.
 //
 // Resolution is set-once: the first Resolve wins and later ones are
 // ignored, so a shutdown flush racing a normal completion is benign.
@@ -43,15 +43,10 @@ class AnswerFuture {
   /// True once the promise resolved (non-blocking).
   bool Ready() const;
 
-  /// Block until resolved; returns a copy of the result. Invalid futures
-  /// return kInternal.
+  /// Block until resolved; returns a copy of the result, which shares the
+  /// resolved rows (O(1) in the row count). Invalid futures return
+  /// kInternal.
   util::Result<core::AnswerResult> Get() const;
-
-  /// Block until resolved and move the result out — the single-consumer
-  /// fast path (no row-set copy). After Take(), other copies of this
-  /// future observe a valid but unspecified result; callers that share a
-  /// future use Get(). Invalid futures return kInternal.
-  util::Result<core::AnswerResult> Take();
 
   /// Register `callback` to run when the future resolves. If it already
   /// resolved, the callback runs inline on this thread before OnReady

@@ -163,7 +163,7 @@ ServeEngine::FrontHalf ServeEngine::Probe(sql::SelectStatement&& stmt,
   if (!bound.ok()) return bound.status();
   sql::QueryFingerprint fingerprint = sql::FingerprintQuery(bound.value().stmt);
   // Cache hits bypass admission entirely: they cost a shard lock and a
-  // copy, not an execution slot.
+  // copy that shares the cached rows, not an execution slot.
   if (auto hit = cache_.Lookup(fingerprint, model_->generation())) {
     // Admitted under the reader lock, so FineTune's clear never races an
     // admission: every entry was admitted in the current generation.
@@ -231,9 +231,7 @@ util::Result<core::AnswerResult> ServeEngine::Serve(FrontHalf&& front) {
     // Refused: the ticket is still ours.
     return RejectQueueFull(ticket.bound.stmt);
   }
-  // Take(), not Get(): this future has exactly one consumer, so the
-  // resolved answer moves out without a row-set copy.
-  return future.Take();
+  return future.Get();
 }
 
 AnswerFuture ServeEngine::ServeAsync(FrontHalf&& front) {
@@ -378,6 +376,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
       served_.fetch_add(1 + rep.duplicates.size(),
                         std::memory_order_relaxed);
     }
+    // The cache entry and every duplicate share the outcome's rows.
     for (size_t dup : rep.duplicates) {
       tickets[dup].promise.Resolve(outcome);
     }

@@ -17,7 +17,10 @@
 //      copied; Answer(stmt) copies the caller's statement once. Cache
 //      entries are stamped with the model's approximation-set generation;
 //      FineTune() bumps it, invalidating every stale entry, and clears
-//      the memo.
+//      the memo. A cache entry, every hit on it, a batch duplicate's
+//      answer and a future's Get() all share one immutable row block
+//      (exec::ResultSet), so no answer's rows are copied after they are
+//      built.
 //   2. Admission, by the BatchScheduler alone. At most max_inflight
 //      batches execute at once and up to queue_capacity tickets queue
 //      behind them in arrival order. AnswerAsync queues its ticket and
@@ -213,8 +216,8 @@ class ServeEngine {
                   const util::ExecContext& context,
                   const std::string* memo_text);
 
-  /// A cache hit's answer: `cached`, flagged from_cache and counted as
-  /// served.
+  /// A cache hit's answer: a copy of `cached` that shares its rows,
+  /// flagged from_cache and counted as served.
   core::AnswerResult CacheHit(const core::AnswerResult& cached);
 
   /// The answer for a query the scheduler refused (queue full): load-shed

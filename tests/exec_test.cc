@@ -281,6 +281,89 @@ TEST_F(ExecTest, SelfJoinViaAliases) {
   EXPECT_EQ(rs.row(0)[1].AsString(), "delta");
 }
 
+TEST_F(ExecTest, ResultSetCopySharesItsSourcesRows) {
+  const ResultSet source = Run("SELECT title, year FROM movies");
+  ASSERT_GT(source.num_rows(), 0u);
+  const ResultSet copy = source;
+  EXPECT_EQ(&copy.rows(), &source.rows());
+  ResultSet assigned;
+  assigned = copy;
+  EXPECT_EQ(&assigned.rows(), &source.rows());
+  EXPECT_EQ(assigned.column_names(), source.column_names());
+}
+
+TEST_F(ExecTest, ResultSetCopyOutlivesItsSource) {
+  std::vector<std::string> want;
+  ResultSet copy;
+  {
+    const ResultSet source = Run("SELECT title FROM movies ORDER BY title");
+    for (size_t i = 0; i < source.num_rows(); ++i) {
+      want.push_back(source.RowKey(i));
+    }
+    copy = source;
+  }
+  ASSERT_EQ(want.size(), 8u);
+  ASSERT_EQ(copy.num_rows(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(copy.RowKey(i), want[i]);
+  EXPECT_EQ(copy.column_names(), std::vector<std::string>{"title"});
+}
+
+TEST_F(ExecTest, ResultRowsHoldNoSpareSlots) {
+  // Copies and cache entries keep the rows block alive whole, so every
+  // builder sizes it and each row exactly, however many rows it dropped.
+  for (const char* sql : {
+           "SELECT m.title, r.actor FROM movies m, roles r "
+           "WHERE m.id = r.movie_id ORDER BY m.title LIMIT 1",
+           "SELECT id, title, year FROM movies WHERE year >= 2010",
+           "SELECT * FROM movies m, roles r WHERE m.id = r.movie_id",
+           "SELECT DISTINCT actor FROM roles",
+           "SELECT year, COUNT(*) AS c FROM movies GROUP BY year "
+           "ORDER BY c DESC LIMIT 1",
+           "SELECT year, COUNT(*) AS c, MAX(rating) FROM movies GROUP BY year "
+           "HAVING c >= 1 LIMIT 2",
+       }) {
+    SCOPED_TRACE(sql);
+    const ResultSet rs = Run(sql);
+    ASSERT_GT(rs.num_rows(), 0u);
+    EXPECT_EQ(rs.rows().capacity(), rs.num_rows());
+    for (const ResultSet::Row& row : rs.rows()) {
+      EXPECT_EQ(row.capacity(), row.size());
+    }
+  }
+}
+
+TEST(ResultSetTest, RowsBlockHoldsNoSpareRowSlots) {
+  ResultSet::Rows rows;
+  rows.reserve(64);
+  rows.push_back({storage::Value(int64_t{1})});
+  const ResultSet rs({"a"}, std::move(rows));
+  EXPECT_EQ(rs.rows().capacity(), 1u);
+}
+
+TEST(ResultSetTest, DefaultMovedFromAndRowlessResultsReadAsEmpty) {
+  const ResultSet none;
+  EXPECT_EQ(none.num_columns(), 0u);
+  EXPECT_EQ(none.num_rows(), 0u);
+  EXPECT_TRUE(none.rows().empty());
+  EXPECT_TRUE(none.RowKeySet().empty());
+
+  ResultSet source({"a"}, {{storage::Value(int64_t{1})}});
+  const ResultSet moved = std::move(source);
+  ASSERT_EQ(moved.num_rows(), 1u);
+  EXPECT_EQ(moved.row(0)[0].AsInt64(), 1);
+  // A moved-from result is empty, not unspecified.
+  EXPECT_EQ(source.num_columns(), 0u);
+  EXPECT_EQ(source.num_rows(), 0u);
+  EXPECT_TRUE(source.rows().empty());
+
+  // A result without rows allocates no rows block: every one reads the
+  // same shared empty rows.
+  const ResultSet rowless({"a"});
+  EXPECT_EQ(rowless.num_columns(), 1u);
+  EXPECT_EQ(&rowless.rows(), &none.rows());
+  EXPECT_EQ(&source.rows(), &none.rows());
+}
+
 TEST(LikeMatchTest, Wildcards) {
   EXPECT_TRUE(LikeMatch("hello", "h%"));
   EXPECT_TRUE(LikeMatch("hello", "%o"));

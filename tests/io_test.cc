@@ -139,9 +139,10 @@ TEST(LoadCsvTableTest, CorruptedFixturesNameLineAndColumn) {
 }
 
 TEST(WriteCsvTest, RoundTripsThroughLoad) {
-  exec::ResultSet rs({"id", "label"});
-  rs.AddRow({storage::Value(int64_t{1}), storage::Value(std::string("x,y"))});
-  rs.AddRow({storage::Value(int64_t{2}), storage::Value()});
+  const exec::ResultSet rs(
+      {"id", "label"},
+      {{storage::Value(int64_t{1}), storage::Value(std::string("x,y"))},
+       {storage::Value(int64_t{2}), storage::Value()}});
   std::ostringstream out;
   ASSERT_OK(WriteCsv(rs, out));
 

@@ -205,22 +205,20 @@ TEST_F(ScoreTest, JoinQueryNeedsBothSides) {
 }
 
 TEST(DiversityTest, IdenticalRowsZeroDistance) {
-  exec::ResultSet rs({"a", "b"});
-  rs.AddRow({storage::Value(int64_t{1}), storage::Value(int64_t{2})});
-  rs.AddRow({storage::Value(int64_t{1}), storage::Value(int64_t{2})});
+  const exec::ResultSet rs(
+      {"a", "b"}, {{storage::Value(int64_t{1}), storage::Value(int64_t{2})},
+                   {storage::Value(int64_t{1}), storage::Value(int64_t{2})}});
   EXPECT_DOUBLE_EQ(ResultDiversity(rs), 0.0);
 }
 
 TEST(DiversityTest, DisjointRowsFullDistance) {
-  exec::ResultSet rs({"a"});
-  rs.AddRow({storage::Value(std::string("x"))});
-  rs.AddRow({storage::Value(std::string("y"))});
+  const exec::ResultSet rs({"a"}, {{storage::Value(std::string("x"))},
+                                   {storage::Value(std::string("y"))}});
   EXPECT_DOUBLE_EQ(ResultDiversity(rs), 1.0);
 }
 
 TEST(DiversityTest, SingleRowIsZero) {
-  exec::ResultSet rs({"a"});
-  rs.AddRow({storage::Value(int64_t{1})});
+  const exec::ResultSet rs({"a"}, {{storage::Value(int64_t{1})}});
   EXPECT_DOUBLE_EQ(ResultDiversity(rs), 0.0);
 }
 
@@ -240,22 +238,21 @@ TEST(RelativeErrorTest, ScalarCases) {
 }
 
 TEST(RelativeErrorTest, GroupedComparison) {
-  exec::ResultSet truth({"g", "sum"});
-  truth.AddRow({storage::Value(std::string("a")), storage::Value(100.0)});
-  truth.AddRow({storage::Value(std::string("b")), storage::Value(50.0)});
+  const exec::ResultSet truth(
+      {"g", "sum"},
+      {{storage::Value(std::string("a")), storage::Value(100.0)},
+       {storage::Value(std::string("b")), storage::Value(50.0)}});
 
-  exec::ResultSet pred({"g", "sum"});
-  pred.AddRow({storage::Value(std::string("a")), storage::Value(90.0)});
+  const exec::ResultSet pred(
+      {"g", "sum"}, {{storage::Value(std::string("a")), storage::Value(90.0)}});
   // Group "b" missing -> contributes 1.
   ASSERT_OK_AND_ASSIGN(double err, RelativeError(truth, pred, 1));
   EXPECT_NEAR(err, (0.1 + 1.0) / 2.0, 1e-9);
 }
 
 TEST(RelativeErrorTest, UngroupedScalar) {
-  exec::ResultSet truth({"cnt"});
-  truth.AddRow({storage::Value(int64_t{200})});
-  exec::ResultSet pred({"cnt"});
-  pred.AddRow({storage::Value(int64_t{150})});
+  const exec::ResultSet truth({"cnt"}, {{storage::Value(int64_t{200})}});
+  const exec::ResultSet pred({"cnt"}, {{storage::Value(int64_t{150})}});
   ASSERT_OK_AND_ASSIGN(double err, RelativeError(truth, pred, 0));
   EXPECT_NEAR(err, 0.25, 1e-9);
 }

@@ -4,13 +4,15 @@
 // monitor asserts the process-wide execution-thread cap is never
 // exceeded, more synchronous sessions than slots split between inline
 // and executor-thread runs, and a FineTune races in-flight Answers
-// through the engine's writer lock, memoized texts included. Iteration
-// counts scale down under TSan (ASQP_SANITIZE_THREAD) to keep the suite
-// fast despite the sanitizer's slowdown.
+// through the engine's writer lock, memoized texts and one hot answer's
+// shared rows under eviction included. Iteration counts scale down under
+// TSan (ASQP_SANITIZE_THREAD) to keep the suite fast despite the
+// sanitizer's slowdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -20,6 +22,7 @@
 
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "serve/answer_cache.h"
 #include "serve/serve_engine.h"
 #include "tests/testing.h"
 #include "util/fault_injector.h"
@@ -374,6 +377,83 @@ std::vector<uint64_t> UncachedDigests(core::AsqpModel* model,
   return digests;
 }
 
+/// One served answer: which query, whether it was sent after FineTune
+/// returned, and its RowsDigest.
+struct Seen {
+  size_t query = 0;
+  bool after_finetune = false;
+  uint64_t digest = 0;
+};
+
+/// kSessions sessions send sqls[pick(session, iteration)] through
+/// `engine` until 4 * kSessions answers came back, then one FineTune
+/// runs underneath them, then they go on until 4 * kSessions answers sent
+/// after it came back. Returns every answer served.
+std::vector<Seen> ServeAcrossFineTune(
+    ServeEngine* engine, const std::vector<std::string>& sqls,
+    const std::function<size_t(size_t, size_t)>& pick,
+    const metric::Workload& drift) {
+  std::vector<std::vector<Seen>> seen(kSessions);
+  std::atomic<bool> tuned{false};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> answered{0};
+  std::atomic<uint64_t> answered_after{0};
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < kSessions; ++s) {
+    sessions.emplace_back([&, s] {
+      for (size_t iter = 0; !stop.load(std::memory_order_relaxed); ++iter) {
+        Seen one;
+        one.query = pick(s, iter);
+        one.after_finetune = tuned.load(std::memory_order_acquire);
+        auto result = engine->AnswerSql(sqls[one.query]);
+        // Rejections are acceptable under this load; what is served
+        // must come from one generation.
+        if (!result.ok()) continue;
+        one.digest = RowsDigest(result.value().result);
+        seen[s].push_back(one);
+        answered.fetch_add(1, std::memory_order_relaxed);
+        if (one.after_finetune) {
+          answered_after.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  while (answered.load(std::memory_order_relaxed) < 4 * kSessions) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_OK(engine->FineTune(drift));
+  tuned.store(true, std::memory_order_release);
+  while (answered_after.load(std::memory_order_relaxed) < 4 * kSessions) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : sessions) t.join();
+  std::vector<Seen> all;
+  for (const std::vector<Seen>& session : seen) {
+    all.insert(all.end(), session.begin(), session.end());
+  }
+  return all;
+}
+
+/// Every answer matches its query's reference digest in one generation,
+/// and every answer sent after FineTune returned matches the new one.
+void ExpectOneGenerationEach(const std::vector<Seen>& seen,
+                             const std::vector<uint64_t>& before,
+                             const std::vector<uint64_t>& after) {
+  size_t mixed = 0;
+  size_t stale = 0;
+  for (const Seen& one : seen) {
+    const bool is_after = one.digest == after[one.query];
+    if (one.after_finetune) {
+      if (!is_after) ++stale;
+    } else if (!is_after && one.digest != before[one.query]) {
+      ++mixed;
+    }
+  }
+  EXPECT_EQ(mixed, 0u) << "answers matching neither generation";
+  EXPECT_EQ(stale, 0u) << "old-generation answers after FineTune returned";
+}
+
 TEST_F(ServeStressTest, MemoizedTextsDuringFineTuneNeverMixGenerations) {
   // One text per query, so each text's reference is its own answer: two
   // spellings of one query may route differently, and the cache keeps
@@ -382,12 +462,7 @@ TEST_F(ServeStressTest, MemoizedTextsDuringFineTuneNeverMixGenerations) {
   for (const auto& spellings : QueryMix()) sqls.push_back(spellings[0]);
   const std::vector<uint64_t> before = UncachedDigests(model_.get(), sqls);
 
-  struct Seen {
-    size_t query = 0;
-    bool after_finetune = false;
-    uint64_t digest = 0;
-  };
-  std::vector<std::vector<Seen>> seen(kSessions);
+  std::vector<Seen> seen;
   uint64_t memo_hits = 0;
   {
     ServeOptions options;
@@ -408,60 +483,76 @@ TEST_F(ServeStressTest, MemoizedTextsDuringFineTuneNeverMixGenerations) {
             {"SELECT p.name FROM person p WHERE p.birth_year > 1970",
              "SELECT p.name, p.birth_year FROM person p "
              "WHERE p.birth_year < 1960"}));
-    std::atomic<bool> tuned{false};
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> answered{0};
-    std::atomic<uint64_t> answered_after{0};
-    std::vector<std::thread> sessions;
-    for (size_t s = 0; s < kSessions; ++s) {
-      sessions.emplace_back([&, s] {
-        for (size_t iter = 0; !stop.load(std::memory_order_relaxed); ++iter) {
-          Seen one;
-          one.query = (s + iter) % sqls.size();
-          one.after_finetune = tuned.load(std::memory_order_acquire);
-          auto result = engine.AnswerSql(sqls[one.query]);
-          // Rejections are acceptable under this load; what is served
-          // must come from one generation.
-          if (!result.ok()) continue;
-          one.digest = RowsDigest(result.value().result);
-          seen[s].push_back(one);
-          answered.fetch_add(1, std::memory_order_relaxed);
-          if (one.after_finetune) {
-            answered_after.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    while (answered.load(std::memory_order_relaxed) < 4 * kSessions) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_OK(engine.FineTune(drift));
-    tuned.store(true, std::memory_order_release);
-    while (answered_after.load(std::memory_order_relaxed) < 4 * kSessions) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& t : sessions) t.join();
+    seen = ServeAcrossFineTune(
+        &engine, sqls,
+        [&sqls](size_t s, size_t iter) { return (s + iter) % sqls.size(); },
+        drift);
     memo_hits = engine.stats().memo_hits;
   }
   const std::vector<uint64_t> after = UncachedDigests(model_.get(), sqls);
 
   // Memo hits kept coming during the race, not only in the warm-up.
   EXPECT_GT(memo_hits, sqls.size());
-  size_t mixed = 0;
-  size_t stale = 0;
-  for (const std::vector<Seen>& session : seen) {
-    for (const Seen& one : session) {
-      const bool is_after = one.digest == after[one.query];
-      if (one.after_finetune) {
-        if (!is_after) ++stale;
-      } else if (!is_after && one.digest != before[one.query]) {
-        ++mixed;
-      }
-    }
+  ExpectOneGenerationEach(seen, before, after);
+}
+
+TEST_F(ServeStressTest, SharedRowsOfOneHotAnswerUnderEvictionAndFineTune) {
+  // Eight sessions read one cached answer of at least 500 rows while a
+  // FineTune replaces its generation and a cache with room for about one
+  // such answer keeps evicting it. Every copy shares the entry's rows, and
+  // whichever thread drops the last copy frees them: no thread may write
+  // rows after they are built.
+  const std::vector<std::string> sqls = {
+      "SELECT p.name, ci.role FROM person p, cast_info ci "
+      "WHERE ci.person_id = p.id",
+      // The same rows in another column order: another entry, as large.
+      "SELECT ci.role, p.name FROM person p, cast_info ci "
+      "WHERE ci.person_id = p.id"};
+  size_t hot_bytes = 0;
+  {
+    ServeOptions options;
+    options.pool_threads = 2;
+    options.cache_bytes = 0;
+    ServeEngine reference(model_.get(), options);
+    ASSERT_OK_AND_ASSIGN(core::AnswerResult hot, reference.AnswerSql(sqls[0]));
+    ASSERT_GE(hot.result.num_rows(), 500u);
+    hot_bytes = EstimateAnswerBytes(hot);
   }
-  EXPECT_EQ(mixed, 0u) << "answers matching neither generation";
-  EXPECT_EQ(stale, 0u) << "old-generation answers after FineTune returned";
+  const std::vector<uint64_t> before = UncachedDigests(model_.get(), sqls);
+
+  std::vector<Seen> seen;
+  AnswerCache::Stats cache_stats;
+  uint64_t cache_hits = 0;
+  {
+    ServeOptions options;
+    options.max_inflight = 4;
+    options.queue_capacity = 2 * kSessions;
+    options.pool_threads = 2;
+    options.cache_shards = 1;
+    options.cache_bytes = hot_bytes + hot_bytes / 2;
+    ServeEngine engine(model_.get(), options);
+    ASSERT_OK(engine.AnswerSql(sqls[0]).status());
+
+    ASSERT_OK_AND_ASSIGN(
+        metric::Workload drift,
+        metric::Workload::FromSql(
+            {"SELECT p.name FROM person p WHERE p.birth_year > 1965",
+             "SELECT p.name, p.birth_year FROM person p "
+             "WHERE p.birth_year < 1945"}));
+    // One request in eight asks for the other order and evicts the hot
+    // answer.
+    seen = ServeAcrossFineTune(
+        &engine, sqls,
+        [](size_t s, size_t iter) { return (s + iter) % 8 == 0 ? 1u : 0u; },
+        drift);
+    cache_stats = engine.cache().stats();
+    cache_hits = engine.stats().cache_hits;
+  }
+  const std::vector<uint64_t> after = UncachedDigests(model_.get(), sqls);
+
+  EXPECT_GT(cache_hits, 0u);
+  EXPECT_GT(cache_stats.evictions, 0u);
+  ExpectOneGenerationEach(seen, before, after);
 }
 
 TEST_F(ServeStressTest, ChaosOverloadNeverLeaksRawTimeoutsToClients) {

@@ -4,9 +4,11 @@
 // ServeEngine end-to-end on a trained model (cache hits byte-identical to
 // executions, equivalent spellings share an entry, FineTune invalidates,
 // shared-pool answers identical at every pool size, batching, admission
-// outcomes, and the exact-text memo's contract).
+// outcomes, the exact-text memo's contract, and hits that share the
+// filling miss's rows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -37,13 +39,13 @@ namespace {
 // ---- AnswerCache unit tests -------------------------------------------
 
 core::AnswerResult MakeAnswer(const std::string& tag, size_t rows) {
-  exec::ResultSet rs({"tag", "n"});
+  exec::ResultSet::Rows values;
   for (size_t i = 0; i < rows; ++i) {
-    rs.mutable_rows().push_back(
+    values.push_back(
         {storage::Value(tag), storage::Value(static_cast<int64_t>(i))});
   }
   core::AnswerResult result;
-  result.result = std::move(rs);
+  result.result = exec::ResultSet({"tag", "n"}, std::move(values));
   result.used_approximation = true;
   result.answerability = 0.5;
   return result;
@@ -158,6 +160,53 @@ TEST(AnswerCacheTest, ClearDropsEverything) {
   AnswerCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
+}
+
+TEST(AnswerCacheTest, LongCanonicalKeysFitFewerEntries) {
+  // The budget charges what an entry holds: its canonical key as well as
+  // its answer.
+  const size_t one = EstimateAnswerBytes(MakeAnswer("x", 1));
+  const auto entries_kept = [one](size_t key_bytes) {
+    AnswerCache cache(8 * one, 1);
+    for (uint64_t h = 0; h < 16; ++h) {
+      std::string key = "q" + std::to_string(h);
+      key.resize(std::max(key.size(), key_bytes), 'k');
+      cache.Insert(MakeFp(h, key), 0, MakeAnswer("x", 1));
+    }
+    const AnswerCache::Stats stats = cache.stats();
+    EXPECT_LE(stats.bytes, cache.byte_budget());
+    return stats.entries;
+  };
+  const size_t short_keys = entries_kept(4);
+  const size_t long_keys = entries_kept(one);
+  EXPECT_GE(short_keys, 6u);
+  EXPECT_LT(long_keys, short_keys);
+  EXPECT_LE(long_keys, 4u);
+}
+
+TEST(AnswerCacheTest, EstimateChargesTheSharedRowsBlockOnce) {
+  // Rows live in one shared block, which the first row brings: it costs
+  // more than each further row, and an answer without rows has none.
+  const size_t none = EstimateAnswerBytes(MakeAnswer("x", 0));
+  const size_t one = EstimateAnswerBytes(MakeAnswer("x", 1));
+  const size_t two = EstimateAnswerBytes(MakeAnswer("x", 2));
+  const size_t three = EstimateAnswerBytes(MakeAnswer("x", 3));
+  EXPECT_EQ(three - two, two - one);
+  EXPECT_GT(one - none, two - one);
+}
+
+TEST(AnswerCacheTest, EstimateChargesSpareValueSlots) {
+  // A cached answer keeps each row's whole allocation.
+  exec::ResultSet::Row row;
+  row.reserve(64);
+  row.emplace_back(std::string("x"));
+  row.emplace_back(int64_t{0});
+  exec::ResultSet::Rows rows;
+  rows.push_back(std::move(row));
+  core::AnswerResult spare = MakeAnswer("x", 1);
+  spare.result = exec::ResultSet({"tag", "n"}, std::move(rows));
+  const size_t tight = EstimateAnswerBytes(MakeAnswer("x", 1));
+  EXPECT_EQ(EstimateAnswerBytes(spare) - tight, 62 * sizeof(storage::Value));
 }
 
 // ---- TextMemo unit tests ----------------------------------------------
@@ -730,6 +779,107 @@ TEST_F(ServeEngineTest, FineTuneInvalidatesCachedAnswers) {
   ASSERT_OK_AND_ASSIGN(core::AnswerResult rewarmed, engine.AnswerSql(kQuery));
   EXPECT_TRUE(rewarmed.from_cache);
   (void)cold;
+}
+
+TEST_F(ServeEngineTest, SharedRowsMissAndHitsOnAnySpellingShareOneRowsObject) {
+  // The miss that fills the entry and every later hit hand out one rows
+  // object, whichever spelling and path the hit takes.
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult miss, engine.AnswerSql(kQuery));
+  ASSERT_FALSE(miss.from_cache);
+  ASSERT_GT(miss.result.num_rows(), 0u);
+  // A respelling and the first text again take the full front half, which
+  // memoizes them; the first text through a future is then a memo hit.
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult respelled,
+                       engine.AnswerSql(
+                           "SELECT x.name, y.role FROM title x, cast_info y "
+                           "WHERE 2000 <= x.production_year "
+                           "AND x.id = y.movie_id"));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult repeated, engine.AnswerSql(kQuery));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult waited,
+                       engine.AnswerSqlAsync(kQuery).Get());
+  for (const core::AnswerResult* hit : {&respelled, &repeated, &waited}) {
+    EXPECT_TRUE(hit->from_cache);
+    EXPECT_EQ(&hit->result.rows(), &miss.result.rows());
+    // Hits keep the first spelling's column names.
+    EXPECT_EQ(hit->result.column_names(), miss.result.column_names());
+  }
+  EXPECT_EQ(engine.stats().memo_hits, 1u);
+}
+
+TEST_F(ServeEngineTest, SharedRowsBatchDuplicatesShareOneRowsObject) {
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
+  AnswerFuture a = engine.AnswerSqlAsync(
+      "SELECT t.name FROM title t WHERE t.production_year >= 1990");
+  AnswerFuture b = engine.AnswerSqlAsync(
+      "SELECT x.name FROM title x WHERE 1990 <= x.production_year");
+  hold.Release();
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult ra, a.Get());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult rb, b.Get());
+  ASSERT_EQ(engine.stats().admitted - before.admitted, 1u);
+  ASSERT_GT(ra.result.num_rows(), 0u);
+  EXPECT_EQ(&rb.result.rows(), &ra.result.rows());
+  // The entry the batch filled shares them too.
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult hit,
+                       engine.AnswerSql(
+                           "SELECT t.name FROM title t "
+                           "WHERE t.production_year >= 1990"));
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(&hit.result.rows(), &ra.result.rows());
+}
+
+TEST_F(ServeEngineTest, SharedRowsHitAfterFineTuneIsNotTheOldGenerations) {
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult old_miss, engine.AnswerSql(kQuery));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult old_hit, engine.AnswerSql(kQuery));
+  ASSERT_TRUE(old_hit.from_cache);
+  ASSERT_GT(old_hit.result.num_rows(), 0u);
+  ASSERT_EQ(&old_hit.result.rows(), &old_miss.result.rows());
+
+  ASSERT_OK_AND_ASSIGN(
+      metric::Workload drift,
+      metric::Workload::FromSql(
+          {"SELECT p.name FROM person p WHERE p.birth_year > 1975",
+           "SELECT p.name, p.birth_year FROM person p "
+           "WHERE p.birth_year < 1955"}));
+  ASSERT_OK(engine.FineTune(drift));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult fresh, engine.AnswerSql(kQuery));
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult new_hit, engine.AnswerSql(kQuery));
+  EXPECT_FALSE(fresh.from_cache);
+  EXPECT_TRUE(new_hit.from_cache);
+  // old_hit keeps the old rows alive, so their address cannot be reused.
+  EXPECT_NE(&new_hit.result.rows(), &old_hit.result.rows());
+  EXPECT_EQ(&new_hit.result.rows(), &fresh.result.rows());
+  EXPECT_EQ(Keys(new_hit.result), Keys(fresh.result));
+}
+
+TEST_F(ServeEngineTest, TopKEntryIsChargedWhatItHolds) {
+  // A top-1 over the join sorts every joined row; the entry it fills must
+  // hold, and be charged for, its one row only.
+  ServeEngine engine(model_.get(), SmallServe());
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult join, engine.AnswerSql(kQuery));
+  ASSERT_GT(join.result.num_rows(), 1u);
+  const size_t before = engine.cache().stats().bytes;
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult top,
+                       engine.AnswerSql(std::string(kQuery) +
+                                        " ORDER BY t.name LIMIT 1"));
+  ASSERT_FALSE(top.from_cache);
+  ASSERT_EQ(top.result.num_rows(), 1u);
+  ASSERT_EQ(engine.cache().stats().entries, 2u);
+  const exec::ResultSet::Rows& rows = top.result.rows();
+  EXPECT_EQ(rows.capacity(), 1u);
+  EXPECT_EQ(rows[0].capacity(), rows[0].size());
+  // What the shared rows block allocates, by capacity.
+  size_t held = rows.capacity() * sizeof(exec::ResultSet::Row);
+  for (const auto& row : rows) held += row.capacity() * sizeof(storage::Value);
+  EXPECT_GE(engine.cache().stats().bytes - before, held);
+  ASSERT_OK_AND_ASSIGN(core::AnswerResult hit,
+                       engine.AnswerSql(std::string(kQuery) +
+                                        " ORDER BY t.name LIMIT 1"));
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(&hit.result.rows(), &rows);
 }
 
 TEST_F(ServeEngineTest, DegradedAnswersAreNotCached) {
