@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths that the
 // paper's end-to-end numbers rest on: hash join (sequential and
 // morsel-parallel across thread counts), Eq.-1 score evaluation,
-// query/tuple embedding, k-means, one PPO policy step, one minibatch PPO
+// query/tuple embedding, k-means (small, and at pre-processing's subsample
+// shape), one PPO policy step, one minibatch PPO
 // update, the SQL front end (parse, bind, fingerprint), and an answer
 // cache hit.
 //
@@ -309,6 +310,27 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans);
+
+void BM_KMeansSubsample(benchmark::State& state) {
+  // Pre-processing's subsample shape: 15k tuple embeddings of 64
+  // dimensions into 16 strata, the assignment steps split over a pool of
+  // state.range(0) threads.
+  util::Rng rng(7);
+  std::vector<embed::Vector> points;
+  for (int i = 0; i < 15000; ++i) {
+    embed::Vector v(64);
+    for (float& x : v) x = static_cast<float>(rng.Normal());
+    points.push_back(std::move(v));
+  }
+  util::ThreadPool pool(static_cast<size_t>(state.range(0)));
+  cluster::KMeansOptions options;
+  options.pool = &pool;
+  for (auto _ : state) {
+    auto result = cluster::KMeans(points, 16, options);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_KMeansSubsample)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_PolicyForwardBackward(benchmark::State& state) {
   // One PPO-sized actor step: state dim ~ 560, 2x128 hidden, 512 actions.

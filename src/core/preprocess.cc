@@ -12,6 +12,7 @@
 #include "workloadgen/generator.h"
 #include "sql/binder.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "workloadgen/stats.h"
 
 namespace asqp {
@@ -286,9 +287,13 @@ Result<PreprocessResult> Preprocess(const storage::Database& db,
         }
         tuple_vecs.push_back(tuple_embedder.EmbedJoined(tables, rows));
       }
+      // The subsample's k-means splits its assignment steps over as many
+      // threads as training's rollouts use.
+      util::ThreadPool pool(std::max<size_t>(1, config.trainer.num_workers));
       sample::VariationalOptions vopts;
       vopts.seed = config.seed ^ 0x5bd1e995ULL;
       vopts.num_strata = std::min<size_t>(16, rest.size());
+      vopts.pool = &pool;
       ASQP_ASSIGN_OR_RETURN(std::vector<size_t> extra,
                             sample::VariationalSubsample(tuple_vecs, fill, vopts));
       for (size_t i : extra) kept.push_back(rest[i]);

@@ -12,8 +12,9 @@ void FeatureHasher::Accumulate(std::string_view token, float weight,
   if (vec->size() != dim_) vec->assign(dim_, 0.0f);
   const uint64_t h = util::Fnv1a(token);
   const size_t bucket = h % dim_;
-  // Salted second hash decides the sign.
-  const uint64_t h2 = util::Fnv1a(std::string(token) + "#sign");
+  // Salted second hash decides the sign: the hash of token + "#sign",
+  // continued from the token's.
+  const uint64_t h2 = util::Fnv1a("#sign", h);
   const float sign = (h2 & 1) ? 1.0f : -1.0f;
   (*vec)[bucket] += sign * weight;
 }

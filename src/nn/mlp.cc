@@ -13,12 +13,6 @@ namespace nn {
 
 namespace {
 
-/// Below this many multiply-adds a kernel runs on the calling thread: a
-/// ParallelFor round trip (waking helpers, the completion latch) costs more
-/// than the work it would split.
-constexpr size_t kMinParallelWork = size_t{1} << 17;
-/// Ranges per participating thread in ForEachRange.
-constexpr size_t kRangesPerThread = 4;
 /// Rough multiply-add equivalents of one activation (tanh) and of one
 /// element of Adam's update (three divisions and a square root).
 constexpr size_t kActivateWork = 64;
@@ -44,6 +38,39 @@ void DotLanes(const Linear& layer, size_t o, const float* x, size_t n,
   for (size_t k = 0; k < kLanes; ++k) y[o * n + s + k] = acc[k];
 }
 
+/// Nonzero terms per pass of the gradient kernels over a row of dw or dx.
+constexpr size_t kTerms = 4;
+
+/// row[i] += g[0] * v[0][i], then += g[1] * v[1][i], ... for m <= kTerms
+/// terms. A full pass loads and stores each element once for all kTerms
+/// terms and adds them one after another; fewer terms add one pass each.
+/// Either way every element rounds after each term, as m one-term passes
+/// would.
+void AddTerms(float* row, size_t len, const float* g, const float* const* v,
+              size_t m) {
+  if (m == kTerms) {
+    const float g0 = g[0], g1 = g[1], g2 = g[2], g3 = g[3];
+    const float* v0 = v[0];
+    const float* v1 = v[1];
+    const float* v2 = v[2];
+    const float* v3 = v[3];
+    for (size_t i = 0; i < len; ++i) {
+      float d = row[i];
+      d += g0 * v0[i];
+      d += g1 * v1[i];
+      d += g2 * v2[i];
+      d += g3 * v3[i];
+      row[i] = d;
+    }
+    return;
+  }
+  for (size_t j = 0; j < m; ++j) {
+    const float g_j = g[j];
+    const float* v_j = v[j];
+    for (size_t i = 0; i < len; ++i) row[i] += g_j * v_j[i];
+  }
+}
+
 /// The same sums for one sample s and kRows rows o, o + 1, ...: for a
 /// single sample the independent rows, not lanes, keep the adders busy.
 template <size_t kRows>
@@ -63,20 +90,6 @@ void DotRows(const Linear& layer, size_t o, const float* x, size_t n,
 
 }  // namespace
 
-void ForEachRange(util::ThreadPool* pool, size_t count, size_t work,
-                  const std::function<void(size_t begin, size_t end)>& fn) {
-  if (count == 0) return;
-  if (pool == nullptr || count == 1 || work < kMinParallelWork) {
-    fn(0, count);
-    return;
-  }
-  const size_t ranges =
-      std::min(count, (pool->num_threads() + 1) * kRangesPerThread);
-  pool->ParallelFor(ranges, [&](size_t r) {
-    fn(count * r / ranges, count * (r + 1) / ranges);
-  });
-}
-
 Linear::Linear(size_t in_dim, size_t out_dim, util::Rng* rng)
     : in(in_dim), out(out_dim) {
   w.resize(in * out);
@@ -95,7 +108,7 @@ void Linear::Forward(const float* x, size_t n, float* y,
   // Samples in blocks of kLanes; the last n % kLanes one at a time, eight
   // rows together.
   const size_t lanes_end = n - n % kLanes;
-  ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
+  util::ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
     for (size_t o = begin; o < end; ++o) {
       for (size_t s = 0; s < lanes_end; s += kLanes) {
         DotLanes(*this, o, x, n, s, y);
@@ -111,33 +124,48 @@ void Linear::Forward(const float* x, size_t n, float* y,
 
 void Linear::AccumulateGrad(const float* x, const float* dy, size_t n,
                             util::ThreadPool* pool) {
-  ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
+  util::ForEachRange(pool, out, n * in * out, [&](size_t begin, size_t end) {
+    float g[kTerms] = {};
+    const float* x_of[kTerms] = {};
     for (size_t o = begin; o < end; ++o) {
       float* drow = &dw[o * in];
+      size_t m = 0;
       for (size_t s = 0; s < n; ++s) {
-        const float g = dy[s * out + o];
-        if (g == 0.0f) continue;
-        db[o] += g;
-        const float* x_s = x + s * in;
-        for (size_t i = 0; i < in; ++i) drow[i] += g * x_s[i];
+        const float g_s = dy[s * out + o];
+        if (g_s == 0.0f) continue;
+        db[o] += g_s;
+        g[m] = g_s;
+        x_of[m] = x + s * in;
+        if (++m == kTerms) {
+          AddTerms(drow, in, g, x_of, m);
+          m = 0;
+        }
       }
+      AddTerms(drow, in, g, x_of, m);
     }
   });
 }
 
 void Linear::InputGrad(const float* dy, size_t n, float* dx,
                        util::ThreadPool* pool) const {
-  ForEachRange(pool, n, n * in * out, [&](size_t begin, size_t end) {
+  util::ForEachRange(pool, n, n * in * out, [&](size_t begin, size_t end) {
+    float g[kTerms] = {};
+    const float* row_of[kTerms] = {};
     for (size_t s = begin; s < end; ++s) {
       float* dx_s = dx + s * in;
       std::fill(dx_s, dx_s + in, 0.0f);
       const float* dy_s = dy + s * out;
+      size_t m = 0;
       for (size_t o = 0; o < out; ++o) {
-        const float g = dy_s[o];
-        if (g == 0.0f) continue;
-        const float* row = &w[o * in];
-        for (size_t i = 0; i < in; ++i) dx_s[i] += g * row[i];
+        if (dy_s[o] == 0.0f) continue;
+        g[m] = dy_s[o];
+        row_of[m] = &w[o * in];
+        if (++m == kTerms) {
+          AddTerms(dx_s, in, g, row_of, m);
+          m = 0;
+        }
       }
+      AddTerms(dx_s, in, g, row_of, m);
     }
   });
 }
@@ -209,7 +237,7 @@ std::vector<float> Mlp::Forward(const std::vector<float>& x, Cache* cache,
     // Hidden layer: activate each row and write it into the cache.
     std::vector<float>& post = cache->inputs[l + 1];
     post.resize(cur.size());
-    ForEachRange(pool, layer.out, n * layer.out * kActivateWork,
+    util::ForEachRange(pool, layer.out, n * layer.out * kActivateWork,
                  [&](size_t begin, size_t end) {
                    for (size_t o = begin; o < end; ++o) {
                      for (size_t s = 0; s < n; ++s) {
@@ -402,7 +430,7 @@ void Adam::Step(util::ThreadPool* pool) {
         grad[i] = 0.0f;
       }
     };
-    ForEachRange(pool, lengths[blk], lengths[blk] * kAdamWork, update);
+    util::ForEachRange(pool, lengths[blk], lengths[blk] * kAdamWork, update);
     offset += lengths[blk];
   }
 }

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/random.h"
@@ -30,17 +29,13 @@ namespace nn {
 //     gradient g is 0 (or -0) adds nothing;
 //   - input gradient: dx[i] starts at 0 and adds g[o] * w[o][i] for
 //     o = 0, 1, ..., with the same g == 0 skip.
+// The gradient kernels add four nonzero terms per pass over a dw or dx row
+// (each element loaded and stored once for all four, which it adds one
+// after another) and the last 0-3 terms one at a time.
 // Work splits over an optional pool by output element (a row of y or dw,
 // one sample's dx), each written by one thread, so results do not depend on
 // the pool's size. The build adds no -ffast-math or -march: reassociation
 // or FMA contraction would change the bits.
-
-/// Run fn(begin, end) over disjoint ranges covering [0, count). Runs on the
-/// calling thread when `pool` is null or `work` (multiply-adds, roughly) is
-/// below a fixed threshold; otherwise splits into several ranges per thread,
-/// so that helpers that wake late still find work.
-void ForEachRange(util::ThreadPool* pool, size_t count, size_t work,
-                  const std::function<void(size_t begin, size_t end)>& fn);
 
 /// \brief One dense layer y = W x + b with gradient accumulators.
 struct Linear {

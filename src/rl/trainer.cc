@@ -26,7 +26,7 @@ const char* AlgorithmName(Algorithm a) {
 namespace {
 
 /// Rough multiply-add equivalents, per action, of one sample's softmax,
-/// logs and dL/dlogits (for nn::ForEachRange's serial threshold).
+/// logs and dL/dlogits (for util::ForEachRange's serial threshold).
 constexpr size_t kLossWork = 16;
 
 /// Collect one episode into `buffer` using `policy` (sampling).
@@ -170,7 +170,7 @@ UpdateStats UpdateMinibatch(const TrainerConfig& config, Policy* policy,
       }
     }
   };
-  nn::ForEachRange(pool, n, n * num_actions * kLossWork, loss_step);
+  util::ForEachRange(pool, n, n * num_actions * kLossWork, loss_step);
   for (size_t s = 0; s < n; ++s) {
     stats.policy_loss += policy_terms[s];
     stats.entropy += entropy_terms[s];

@@ -81,6 +81,7 @@ util::Result<std::vector<size_t>> VariationalSubsample(
   const size_t k = std::min(options.num_strata, points.size());
   cluster::KMeansOptions kopts;
   kopts.seed = options.seed;
+  kopts.pool = options.pool;
   ASQP_ASSIGN_OR_RETURN(cluster::ClusteringResult clustering,
                         cluster::KMeans(points, k, kopts));
   return StratifiedSample(clustering.assignment, k, target, &rng);

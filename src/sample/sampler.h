@@ -16,6 +16,10 @@
 #include "util/status.h"
 
 namespace asqp {
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 namespace sample {
 
 /// Uniformly sample `target` distinct indices from [0, n).
@@ -32,6 +36,9 @@ struct VariationalOptions {
   /// Number of latent strata (clusters); clamped to the pool size.
   size_t num_strata = 16;
   uint64_t seed = 23;
+  /// The k-means assignment steps split over this pool; null runs them on
+  /// the calling thread. The sample is the same either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 /// Variational subsampling over embedded tuples: k-means into latent

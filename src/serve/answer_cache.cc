@@ -7,7 +7,20 @@ namespace asqp {
 namespace serve {
 
 size_t EstimateAnswerBytes(const core::AnswerResult& result) {
-  size_t bytes = sizeof(core::AnswerResult);
+  using Entry = AnswerCache::Entry;
+  using Index = std::unordered_map<uint64_t, std::list<Entry>::iterator>;
+  // A heap block's header and rounding, roughly: glibc keeps 8 bytes per
+  // chunk and rounds chunks to 16.
+  constexpr size_t kAllocationHeader = 2 * sizeof(void*);
+  // The LRU list node (the Entry between two links), the index node (a
+  // link and the key-iterator pair) and its bucket slot, the control block
+  // make_shared puts in front of the answer, and the headers of those three
+  // blocks and of the key's buffer.
+  constexpr size_t kEntryOverhead =
+      (sizeof(Entry) + 2 * sizeof(void*)) +
+      (sizeof(void*) + sizeof(Index::value_type)) + sizeof(void*) +
+      2 * sizeof(void*) + 4 * kAllocationHeader;
+  size_t bytes = kEntryOverhead + sizeof(core::AnswerResult);
   bytes += result.fallback_reason.size();
   for (const std::string& name : result.result.column_names()) {
     bytes += sizeof(std::string) + name.size();

@@ -24,8 +24,11 @@ namespace serve {
 
 /// Rough in-memory footprint of a cached answer (values + strings +
 /// column names + the shared rows block), counting each vector by its
-/// capacity, spare slots included. With its canonical key, what the
-/// cache's byte budget charges an entry.
+/// capacity, spare slots included, plus the cache's bookkeeping for its
+/// entry: the LRU list node, the index node and bucket slot, the answer's
+/// shared_ptr control block, and an allocation header for each of those
+/// and for the key. With its canonical key, what the cache's byte budget
+/// charges an entry.
 size_t EstimateAnswerBytes(const core::AnswerResult& result);
 
 class AnswerCache {
@@ -80,6 +83,8 @@ class AnswerCache {
   size_t byte_budget() const { return byte_budget_; }
 
  private:
+  friend size_t EstimateAnswerBytes(const core::AnswerResult& result);
+
   struct Entry {
     uint64_t hash = 0;
     std::string canonical;

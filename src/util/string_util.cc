@@ -49,8 +49,9 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a(std::string_view s) { return Fnv1a(s, 0xcbf29ce484222325ULL); }
+
+uint64_t Fnv1a(std::string_view s, uint64_t h) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

@@ -28,6 +28,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// embedders (std::hash is not stable across implementations).
 uint64_t Fnv1a(std::string_view s);
 
+/// FNV-1a continued over `s` from the state `h`, so that
+/// Fnv1a(b, Fnv1a(a)) == Fnv1a(a + b) without building a + b.
+uint64_t Fnv1a(std::string_view s, uint64_t h);
+
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -121,6 +121,31 @@ Status ThreadPool::ParallelForChunked(
   return Status::OK();
 }
 
+namespace {
+
+/// Below this many multiply-adds ForEachRange runs on the calling thread: a
+/// ParallelFor round trip (waking helpers, the completion latch) costs more
+/// than the work it would split.
+constexpr size_t kMinParallelWork = size_t{1} << 17;
+/// Ranges per participating thread in ForEachRange.
+constexpr size_t kRangesPerThread = 4;
+
+}  // namespace
+
+void ForEachRange(ThreadPool* pool, size_t count, size_t work,
+                  const std::function<void(size_t begin, size_t end)>& fn) {
+  if (count == 0) return;
+  if (pool == nullptr || count == 1 || work < kMinParallelWork) {
+    fn(0, count);
+    return;
+  }
+  const size_t ranges =
+      std::min(count, (pool->num_threads() + 1) * kRangesPerThread);
+  pool->ParallelFor(ranges, [&](size_t r) {
+    fn(count * r / ranges, count * (r + 1) / ranges);
+  });
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -1,6 +1,8 @@
 // Fixed-size thread pool used for parallel rollout collection (the paper's
-// asynchronous actor-learners), for the multi-process brute-force / greedy
-// baselines, and for morsel-parallel query execution (exec::QueryEngine).
+// asynchronous actor-learners), for the minibatch kernels of src/nn and the
+// k-means assignment step (through ForEachRange), for the multi-process
+// brute-force / greedy baselines, and for morsel-parallel query execution
+// (exec::QueryEngine).
 //
 // One pool instance may be shared by many concurrent callers (the serving
 // layer runs every session's morsels through a single process-wide pool):
@@ -130,6 +132,15 @@ class ThreadPool {
   /// Process-wide live worker count (see LiveWorkerCount()).
   static std::atomic<size_t> live_workers_;
 };
+
+/// Run fn(begin, end) over disjoint ranges covering [0, count). Runs on the
+/// calling thread when `pool` is null or `work` (multiply-adds, roughly) is
+/// below a fixed threshold; otherwise splits into several ranges per thread,
+/// so that helpers that wake late still find work. Each index belongs to
+/// exactly one range, so a caller that writes only its indices' outputs
+/// gets the same bits at any pool size.
+void ForEachRange(ThreadPool* pool, size_t count, size_t work,
+                  const std::function<void(size_t begin, size_t end)>& fn);
 
 }  // namespace util
 }  // namespace asqp

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "embed/embedder.h"
 #include "embed/vector_ops.h"
 #include "sql/parser.h"
 #include "tests/testing.h"
+#include "util/string_util.h"
 
 namespace asqp {
 namespace embed {
@@ -39,6 +44,39 @@ TEST(FeatureHasherTest, DeterministicAndSpread) {
   Vector c(32, 0.0f);
   h.Accumulate("token_y", 1.0f, &c);
   EXPECT_NE(a, c);
+}
+
+TEST(FeatureHasherTest, SignIsTheHashOfTheSaltedToken) {
+  // The bucket is Fnv1a(token) and the sign the low bit of
+  // Fnv1a(token + "#sign"), which Accumulate computes without building that
+  // string. Over empty, long and non-ASCII tokens the embedding keeps that
+  // formula's bits.
+  std::vector<std::string> corpus = {
+      "",
+      "a",
+      "#sign",
+      "col|title.name",
+      std::string(1000, 'x') + "|tail",
+      "val|\x80\xff|s:\xc3\xa9t\xc3\xa9",
+      std::string("nul\0byte", 8)};
+  for (size_t i = 0; i < 200; ++i) {
+    corpus.push_back("op|>=|" + std::to_string(i * 7919));
+  }
+  constexpr size_t kDim = 64;
+  FeatureHasher hasher(kDim);
+  Vector got(kDim, 0.0f);
+  Vector want(kDim, 0.0f);
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& token = corpus[i];
+    EXPECT_EQ(util::Fnv1a("#sign", util::Fnv1a(token)),
+              util::Fnv1a(token + "#sign"))
+        << "token " << i;
+    const float weight = 0.25f * static_cast<float>(i % 7 + 1);
+    hasher.Accumulate(token, weight, &got);
+    const float sign = (util::Fnv1a(token + "#sign") & 1) ? 1.0f : -1.0f;
+    want[util::Fnv1a(token) % kDim] += sign * weight;
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), kDim * sizeof(float)), 0);
 }
 
 sql::SelectStatement MustParse(const std::string& s) {

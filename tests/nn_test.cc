@@ -331,7 +331,9 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t threads) {
   return threads == 0 ? nullptr : std::make_unique<util::ThreadPool>(threads);
 }
 
-/// (minibatch size n, pool threads; 0 = no pool).
+/// (minibatch size n, pool threads; 0 = no pool). The sizes cover the
+/// gradient kernels' four-term passes with 0-3 terms left over, and the
+/// forward kernel's 16-sample lane blocks with and without a remainder.
 class KernelOracleTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -425,7 +427,7 @@ TEST_P(KernelOracleTest, MlpMinibatchMatchesPerSamplePasses) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, KernelOracleTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 7, 64),
+    ::testing::Combine(::testing::Values<size_t>(1, 5, 7, 13, 64),
                        ::testing::Values<size_t>(0, 1, 2, 4)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
       return std::string("n") + std::to_string(std::get<0>(info.param)) +

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -207,6 +208,21 @@ TEST(AnswerCacheTest, EstimateChargesSpareValueSlots) {
   spare.result = exec::ResultSet({"tag", "n"}, std::move(rows));
   const size_t tight = EstimateAnswerBytes(MakeAnswer("x", 1));
   EXPECT_EQ(EstimateAnswerBytes(spare) - tight, 62 * sizeof(storage::Value));
+}
+
+TEST(AnswerCacheTest, EstimateChargesEachEntrysBookkeeping) {
+  // Besides the answer, an entry costs at least its LRU list node (two
+  // links around the key string, the hash, the generation, the byte count
+  // and the answer pointer) and its index node (a link, the hash and a
+  // list iterator).
+  const size_t list_node = 2 * sizeof(void*) + sizeof(std::string) +
+                           3 * sizeof(uint64_t) +
+                           sizeof(std::shared_ptr<const core::AnswerResult>);
+  const size_t index_node =
+      sizeof(void*) + sizeof(uint64_t) + sizeof(std::list<int>::iterator);
+  const core::AnswerResult empty;
+  EXPECT_GE(EstimateAnswerBytes(empty),
+            sizeof(core::AnswerResult) + list_node + index_node);
 }
 
 // ---- TextMemo unit tests ----------------------------------------------
