@@ -88,19 +88,6 @@ struct AsqpConfig {
   /// byte-identical either way (see exec::ExecOptions::enable_planner);
   /// off is for A/B comparison.
   bool planner = true;
-  /// Build ordered secondary indexes (storage::IndexCatalog) over every
-  /// column of the approximation set at MaterializeSet / FineTune, stamped
-  /// with the model generation. The set is bounded by k tuples and rebuilt
-  /// only on fine-tune, so exhaustive indexing is nearly free; the
-  /// planner's access-path rule picks per-query whether an index range
-  /// scan beats the full scan. Results are byte-identical either way. Has
-  /// no effect when `planner` is false (access paths are a planner rule).
-  bool index_auto = true;
-  /// Explicit index spec: comma-separated "table.column" pairs (column by
-  /// name) overriding index_auto's every-column default. An unparsable or
-  /// unresolvable spec degrades to no indexes (full scans), never to an
-  /// error — index presence must not gate answering.
-  std::string index_columns;
 
   // ---- Serving (serve::ServeEngine).
   /// Queries executing at once; further queries queue in arrival order

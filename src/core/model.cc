@@ -11,7 +11,6 @@
 #include "aqp/learned_fallback.h"
 #include "core/trainer.h"
 #include "metric/score.h"
-#include "plan/plan_reuse.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "storage/index.h"
@@ -32,26 +31,6 @@ exec::ExecOptions ExecOptionsFor(
   options.enable_planner = config.planner;
   options.planner_stats = std::move(stats);
   return options;
-}
-
-/// Resolve the configured index columns and build the catalog over `view`
-/// (the approximation-set scope). Returns null — full scans everywhere —
-/// when indexing is disabled or the explicit spec does not resolve:
-/// index presence must never gate answering.
-std::shared_ptr<const storage::IndexCatalog> BuildIndexCatalogFor(
-    const AsqpConfig& config, const storage::Database& db,
-    const storage::DatabaseView& view, uint64_t generation) {
-  std::vector<storage::IndexColumnSpec> specs;
-  if (!config.index_columns.empty()) {
-    auto parsed = storage::ParseIndexColumns(config.index_columns, db);
-    if (!parsed.ok()) return nullptr;
-    specs = std::move(parsed).value();
-  } else if (config.index_auto) {
-    specs = storage::AllIndexColumns(db);
-  }
-  if (specs.empty()) return nullptr;
-  return std::make_shared<const storage::IndexCatalog>(
-      storage::IndexCatalog::Build(view, specs, generation));
 }
 
 util::CircuitBreaker::Options BreakerOptionsFor(const AsqpConfig& config) {
@@ -195,8 +174,14 @@ void AsqpModel::MaterializeSet() {
 }
 
 void AsqpModel::RebuildIndexes() {
-  index_catalog_ = BuildIndexCatalogFor(
-      config_, *db_, storage::DatabaseView(db_, &set_), generation());
+  // Every column of the set is indexed: the set holds at most k tuples, so
+  // exhaustive indexing is cheap, and the planner picks per query which
+  // index (if any) pays. An index whose build fails is left out, and its
+  // column is scanned in full: index presence never gates answering.
+  index_catalog_ = std::make_shared<const storage::IndexCatalog>(
+      storage::IndexCatalog::Build(storage::DatabaseView(db_, &set_),
+                                   storage::AllIndexColumns(*db_),
+                                   generation()));
   RebuildEngine();
 }
 
@@ -275,11 +260,22 @@ util::ExecContext AsqpModel::ApproxContextFor(
 
 util::Result<AnswerResult> AsqpModel::AnswerPrepared(
     const sql::BoundQuery& bound, double answerability,
-    const util::ExecContext& context) {
+    const util::ExecContext& context, const sql::BoundQuery* planned,
+    const std::vector<exec::ScanSelection>* selections) {
   AnswerResult result;
   result.answerability = answerability;
 
   if (result.answerability >= config_.answerable_threshold) {
+    if (planned != nullptr && ASQP_FAULT_POINT("serve.batch")) {
+      // A faulted batch member degrades alone — straight down the ladder
+      // with a machine-readable reason — while its peers keep their
+      // shared-scan answers untouched.
+      return DegradeFrom(
+          bound, context,
+          util::Status::ExecutionError(
+              "injected fault(serve.batch): batched member execution failed"),
+          std::move(result));
+    }
     storage::DatabaseView view(db_, &set_);
     util::ExecContext approx_context = ApproxContextFor(context);
     // Tier 0 with bounded retries: transient failures (allocation
@@ -294,7 +290,10 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
     util::Status failure = util::Status::OK();
     for (size_t attempt = 0;; ++attempt) {
       util::Result<exec::ResultSet> approx =
-          engine_.Execute(bound, view, approx_context);
+          planned != nullptr
+              ? engine_.ExecutePlanned(*planned, view, *selections,
+                                       approx_context)
+              : engine_.Execute(bound, view, approx_context);
       if (approx.ok()) {
         result.result = std::move(approx).value();
         result.used_approximation = true;
@@ -411,89 +410,73 @@ util::Result<AnswerResult> AsqpModel::DegradeFrom(
 }
 
 std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
-    const std::vector<BatchQuery>& queries, plan::PlanReuseCache* plan_cache,
-    BatchStats* stats_out) {
+    const std::vector<BatchQuery>& queries,
+    std::atomic<uint64_t>& scans_saved) {
   const size_t n = queries.size();
-  BatchStats stats;
-  stats.members = n;
-  std::vector<std::optional<util::Result<AnswerResult>>> results(n);
+  // Estimate every member. Members with no scan to share are answered at
+  // once, exactly as Answer() answers them: the only member of a
+  // one-query batch (keeping its own plan, index range scans and retry
+  // policy), and below-threshold members, which the estimator routes to
+  // the full database (the shared scan is an approximation-set pass).
+  std::vector<std::optional<util::Result<AnswerResult>>> answers(n);
   std::vector<double> answerability(n);
-  storage::DatabaseView view(db_, &set_);
-  const uint64_t gen = generation();
-
-  // Plan every answerable member once — through the fingerprint-keyed
-  // reuse cache when the caller provides one (same canonical text =>
-  // same bound structure => same deterministic plan) — and mark it for
-  // the shared scan. Members with no scan to share execute individually:
-  // the only member of a one-query batch (keeping its own plan, index
-  // range scans and retry policy), and below-threshold members, which
-  // the estimator routes to the full database (the shared scan is an
-  // approximation-set pass).
-  std::vector<std::shared_ptr<const sql::BoundQuery>> planned(n);
-  std::vector<util::ExecContext> approx(n);
   std::vector<size_t> batched;
   for (size_t i = 0; i < n; ++i) {
     answerability[i] = PrepareQuery(queries[i].bound->stmt);
     if (n == 1 || answerability[i] < config_.answerable_threshold) {
-      results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
+      answers[i] = AnswerPrepared(*queries[i].bound, answerability[i],
                                   queries[i].context);
-      ++stats.solo;
-      continue;
+    } else {
+      batched.push_back(i);
     }
-    std::shared_ptr<const sql::BoundQuery> plan;
-    const bool cacheable =
-        plan_cache != nullptr && queries[i].plan_key != nullptr;
-    if (cacheable) plan = plan_cache->Lookup(*queries[i].plan_key, gen);
-    if (plan == nullptr) {
-      plan = std::make_shared<const sql::BoundQuery>(
-          engine_.PlanForView(*queries[i].bound, view));
-      if (cacheable) plan_cache->Insert(*queries[i].plan_key, gen, plan);
-    }
-    planned[i] = std::move(plan);
-    approx[i] = ApproxContextFor(queries[i].context);
-    batched.push_back(i);
   }
 
-  // Group (member, FROM index) pairs by table and scan each table once.
-  // std::map: deterministic scan order regardless of pointer layout.
+  // Plan every shared-scan member once, for its scan and its execution,
+  // and group (member, FROM index) pairs by table. std::map: deterministic
+  // scan order regardless of pointer layout. Vectors below are indexed by
+  // a member's position in `batched`.
+  storage::DatabaseView view(db_, &set_);
+  const size_t k = batched.size();
+  std::vector<sql::BoundQuery> planned;
+  planned.reserve(k);
   std::map<std::string, std::vector<std::pair<size_t, size_t>>> groups;
-  for (size_t i : batched) {
-    for (size_t t = 0; t < planned[i]->num_tables(); ++t) {
-      groups[planned[i]->tables[t]->name()].push_back({i, t});
-    }
-  }
-
   // The scan runs under the batch's most generous member deadline: a
-  // tighter member's own context still bounds its ExecutePlanned below,
-  // so per-member deadlines hold; a generous member is never truncated
-  // by a tight peer.
-  util::ExecContext scan_context;
+  // tighter member's own context still bounds its execution below, so
+  // per-member deadlines hold; a generous member is never truncated by a
+  // tight peer.
   double max_remaining = 0.0;
   bool any_unlimited = batched.empty();
-  for (size_t i : batched) {
-    if (approx[i].deadline().IsUnlimited()) {
-      any_unlimited = true;
-      break;
+  for (size_t j = 0; j < k; ++j) {
+    const BatchQuery& query = queries[batched[j]];
+    planned.push_back(engine_.PlanForView(*query.bound, view));
+    for (size_t t = 0; t < planned[j].num_tables(); ++t) {
+      groups[planned[j].tables[t]->name()].push_back({j, t});
     }
-    max_remaining =
-        std::max(max_remaining, approx[i].deadline().RemainingSeconds());
+    const util::Deadline deadline =
+        ApproxContextFor(query.context).deadline();
+    any_unlimited = any_unlimited || deadline.IsUnlimited();
+    if (!any_unlimited) {
+      max_remaining = std::max(max_remaining, deadline.RemainingSeconds());
+    }
   }
+  util::ExecContext scan_context;
   if (!any_unlimited) {
     scan_context.set_deadline(util::Deadline::AfterSeconds(max_remaining));
   }
 
-  std::vector<std::vector<exec::ScanSelection>> selections(n);
-  for (size_t i : batched) selections[i].resize(planned[i]->num_tables());
+  std::vector<std::vector<exec::ScanSelection>> selections(k);
+  for (size_t j = 0; j < k; ++j) selections[j].resize(planned[j].num_tables());
   util::Status scan_status = util::Status::OK();
+  uint64_t saved = 0;
   for (auto& group : groups) {
-    std::vector<std::pair<size_t, size_t>>& entries = group.second;
+    const std::vector<std::pair<size_t, size_t>>& entries = group.second;
     const storage::Table& table =
-        *planned[entries[0].first]->tables[entries[0].second];
+        *planned[entries[0].first].tables[entries[0].second];
     std::vector<exec::SharedScanMember> members;
     members.reserve(entries.size());
     for (const auto& entry : entries) {
       members.push_back(
-          exec::SharedScanMember{planned[entry.first].get(), entry.second});
+          exec::SharedScanMember{&planned[entry.first], entry.second});
     }
     std::vector<std::vector<uint32_t>> rows;
     scan_status =
@@ -503,107 +486,53 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
       selections[entries[e].first][entries[e].second] =
           std::make_shared<const std::vector<uint32_t>>(std::move(rows[e]));
     }
-    if (entries.size() >= 2) {
-      ++stats.shared_tables;
-      stats.scans_saved += entries.size() - 1;
-    }
+    saved += entries.size() - 1;
+  }
+  // A failed shared pass (batch-wide deadline, injected scan fault) saved
+  // nothing and leaves each member its unshared solo path.
+  const bool shared = scan_status.ok();
+  if (shared && saved > 0) {
+    scans_saved.fetch_add(saved, std::memory_order_relaxed);
   }
 
-  for (size_t i : batched) {
-    if (!scan_status.ok()) {
-      // The shared pass itself failed (batch-wide deadline, injected scan
-      // fault): every member falls back to its individual path, which
-      // re-runs the full ladder under its own budget.
-      results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
-                                  queries[i].context);
-      ++stats.solo;
-      continue;
-    }
-    if (ASQP_FAULT_POINT("serve.batch")) {
-      // A faulted member degrades alone — straight down the ladder with a
-      // machine-readable reason — while its peers keep their shared-scan
-      // answers untouched.
-      AnswerResult result;
-      result.answerability = answerability[i];
-      results[i] = DegradeFrom(
-          *queries[i].bound, queries[i].context,
-          util::Status::ExecutionError(
-              "injected fault(serve.batch): batched member execution failed"),
-          std::move(result));
-      continue;
-    }
-    util::Result<exec::ResultSet> r =
-        engine_.ExecutePlanned(*planned[i], view, selections[i], approx[i]);
-    if (r.ok()) {
-      AnswerResult result;
-      result.answerability = answerability[i];
-      result.result = std::move(r).value();
-      result.used_approximation = true;
-      result.tier = AnswerTier::kApproximation;
-      answered_.fetch_add(1, std::memory_order_relaxed);
-      approx_served_.fetch_add(1, std::memory_order_relaxed);
-      results[i] = std::move(result);
-      ++stats.batched_tier0;
-      continue;
-    }
-    if (!IsDegradationClass(r.status())) {
-      results[i] = r.status();
-      continue;
-    }
-    // A degradation-class member failure (deadline, transient resource
-    // pressure) retries individually: AnswerPrepared re-runs tier 0 with
-    // the solo path's retry policy, then walks the ladder — identical
-    // semantics to never having been batched.
-    results[i] = AnswerPrepared(*queries[i].bound, answerability[i],
-                                queries[i].context);
-    ++stats.solo;
+  // Every member runs the solo ladder over its plan and its selections.
+  for (size_t j = 0; j < k; ++j) {
+    const size_t i = batched[j];
+    answers[i] = AnswerPrepared(*queries[i].bound, answerability[i],
+                                queries[i].context,
+                                shared ? &planned[j] : nullptr,
+                                shared ? &selections[j] : nullptr);
   }
-
-  std::vector<util::Result<AnswerResult>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(results[i]).value_or(
-        util::Status::Internal("batch member never resolved")));
-  }
-  if (stats_out != nullptr) *stats_out = stats;
-  return out;
+  std::vector<util::Result<AnswerResult>> results;
+  results.reserve(n);
+  for (auto& answer : answers) results.push_back(std::move(*answer));
+  return results;
 }
 
 util::Result<AnswerResult> AsqpModel::AnswerLearnedTier(
     const sql::BoundQuery& bound, const util::Status& cause,
     AnswerResult result) const {
+  util::Result<AnswerResult> learned = TryLearnedAnswer(bound);
+  if (!learned.ok()) {
+    return util::Status::Degraded(
+        "every degradation tier exhausted (reason: " +
+        FallbackReasonFromStatus(cause) + "); last failure: " +
+        cause.ToString());
+  }
+  learned.value().answerability = result.answerability;
+  learned.value().fallback_reason = std::move(result.fallback_reason);
+  return learned;
+}
+
+util::Result<AnswerResult> AsqpModel::TryLearnedAnswer(
+    const sql::BoundQuery& bound) const {
   // Snapshot the pointer: FineTune swaps learned_ under the serving
   // layer's writer lock, but model-level callers may race MaterializeSet
   // in tests — a local shared_ptr keeps the synopsis alive regardless.
   const std::shared_ptr<const aqp::LearnedFallback> learned = learned_;
-  if (learned != nullptr && learned->CanAnswer(bound)) {
-    util::Result<aqp::LearnedAnswer> answer = learned->Answer(bound);
-    if (answer.ok()) {
-      result.result = std::move(answer.value().result);
-      result.used_approximation = false;
-      result.tier = AnswerTier::kLearned;
-      result.fell_back = true;
-      result.error_estimate = answer.value().error_estimate;
-      if (result.fallback_reason.empty()) {
-        result.fallback_reason = FallbackReasonFromStatus(cause);
-      }
-      learned_served_.fetch_add(1, std::memory_order_relaxed);
-      return result;
-    }
-  }
-  return util::Status::Degraded(
-      "every degradation tier exhausted (reason: " +
-      FallbackReasonFromStatus(cause) + "); last failure: " +
-      cause.ToString());
-}
-
-util::Result<AnswerResult> AsqpModel::TryLearnedAnswer(
-    const sql::SelectStatement& stmt) const {
-  const std::shared_ptr<const aqp::LearnedFallback> learned = learned_;
   if (learned == nullptr) {
     return util::Status::NotFound("no learned fallback fitted");
   }
-  ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *db_));
   if (!learned->CanAnswer(bound)) {
     return util::Status::InvalidArgument(
         "query outside the learned fallback's supported class");

@@ -31,10 +31,6 @@ namespace storage {
 class IndexCatalog;
 }  // namespace storage
 
-namespace plan {
-class PlanReuseCache;
-}  // namespace plan
-
 namespace core {
 
 /// Which tier of the degradation ladder produced an answer.
@@ -134,50 +130,38 @@ class AsqpModel {
     const sql::BoundQuery* bound = nullptr;
     /// Per-member deadline/cancellation, honored exactly as Answer()'s.
     util::ExecContext context;
-    /// Canonical fingerprint text used as the plan-reuse key; null (or a
-    /// null cache) plans the member without consulting the cache.
-    const std::string* plan_key = nullptr;
   };
 
-  /// Bookkeeping for one AnswerBatch call.
-  struct BatchStats {
-    size_t members = 0;        ///< queries handed to the batch
-    size_t shared_tables = 0;  ///< tables scanned once for >= 2 members
-    size_t scans_saved = 0;    ///< per-table scan passes avoided (sum k-1)
-    size_t batched_tier0 = 0;  ///< members answered off the shared scan
-    size_t solo = 0;           ///< members answered individually instead
-  };
-
-  /// Answer a batch of queries with multi-query optimization: every
-  /// answerable member's approximation-set execution shares one filter
-  /// scan pass per table (exec::QueryEngine::SharedFilterScan) instead of
-  /// scanning per member, and plans are reused across equal fingerprints
-  /// via `plan_cache` (nullable). Results are byte-identical to calling
-  /// Answer() per member: the shared scan reproduces each member's own
-  /// filtered-scan output exactly, and members the batch cannot serve
-  /// (the only member of a one-query batch, answerability below
-  /// threshold, a failed shared scan, a per-member execution failure)
-  /// take the individual path — so a solo query keeps its own plan,
-  /// index range scans and retry policy, and a faulted member
-  /// (serve.batch fault point, or any degradation-class failure) degrades
-  /// alone, never its batch peers. Returns one Result per input,
-  /// index-aligned.
+  /// Answer a batch of queries, each as a solo query whose scans were done
+  /// for it. Every member is estimated as Answer() estimates it. The
+  /// answerable members of a multi-member batch are planned, grouped by
+  /// table and filtered by one shared scan pass per table
+  /// (exec::QueryEngine::SharedFilterScan), which reproduces each member's
+  /// own filtered-scan output exactly; each then runs AnswerPrepared, the
+  /// solo ladder, over its plan and its selections, so answers are
+  /// byte-identical to Answer() per member and a faulted member degrades
+  /// alone. Every other member (the only member of a one-query batch,
+  /// answerability below threshold, every member of a batch whose shared
+  /// scan failed) runs AnswerPrepared as Answer() does. `scans_saved` is
+  /// credited with the per-table scan passes the shared scan avoided.
+  /// Returns one Result per input, index-aligned.
   ///
   /// Thread safety: a *reader*, same contract as Answer().
   [[nodiscard]] std::vector<util::Result<AnswerResult>> AnswerBatch(
       const std::vector<BatchQuery>& queries,
-      plan::PlanReuseCache* plan_cache = nullptr,
-      BatchStats* stats = nullptr);
+      std::atomic<uint64_t>& scans_saved);
 
-  /// Answer `stmt` from the learned fallback tier alone (no execution, no
+  /// Answer `bound` from the learned fallback tier alone (no execution, no
   /// admission): used by the serving layer to shed load when a query
-  /// cannot be admitted. Fails (kNotFound / kInvalidArgument) when the
-  /// learned answerer is absent or the query is outside its class.
+  /// cannot be admitted, and by the ladder's tier 1. Fails (kNotFound /
+  /// kInvalidArgument) when the learned answerer is absent or the query is
+  /// outside its class. The result carries no answerability and no
+  /// fallback reason; the caller stamps those.
   ///
   /// Thread safety: a *reader* — the serving layer calls it under the same
   /// reader lock as Answer() (FineTune swaps the learned answerer).
   [[nodiscard]] util::Result<AnswerResult> TryLearnedAnswer(
-      const sql::SelectStatement& stmt) const;
+      const sql::BoundQuery& bound) const;
 
   /// Interest drift (C5): true once `drift_trigger` out-of-distribution
   /// queries with deviation confidence > `drift_confidence` accumulated.
@@ -270,13 +254,19 @@ class AsqpModel {
   /// drift bookkeeping. Returns the answerability.
   double PrepareQuery(const sql::SelectStatement& stmt);
 
-  /// Answer()'s execution half: the full degradation ladder over `bound`
-  /// (the statement bound against the database) with its answerability.
-  /// Answer(stmt, ctx) ==
-  /// AnswerPrepared(Bind(stmt), PrepareQuery(stmt), ctx).
+  /// Answer()'s execution half and the only tier-0 path: the full
+  /// degradation ladder over `bound` (the statement bound against the
+  /// database) with its answerability. Answer(stmt, ctx) ==
+  /// AnswerPrepared(Bind(stmt), PrepareQuery(stmt), ctx). A batch member
+  /// also passes its plan (QueryEngine::PlanForView of `bound`) and its
+  /// shared scan's `selections`, which tier 0 runs through ExecutePlanned
+  /// instead of planning and scanning again; such a member's serve.batch
+  /// fault point degrades it straight down the ladder.
   [[nodiscard]] util::Result<AnswerResult> AnswerPrepared(
       const sql::BoundQuery& bound, double answerability,
-      const util::ExecContext& context);
+      const util::ExecContext& context,
+      const sql::BoundQuery* planned = nullptr,
+      const std::vector<exec::ScanSelection>* selections = nullptr);
 
   /// The ladder below tier 0: cost-gated, breaker-guarded full database,
   /// then the learned answerer, then typed kDegraded. `failure` is the
@@ -292,10 +282,10 @@ class AsqpModel {
   /// answer_deadline_seconds.
   util::ExecContext ApproxContextFor(const util::ExecContext& context) const;
 
-  /// Tier 1 of the ladder: answer `bound` from the learned fallback.
-  /// `cause` is the failure that forced degradation past the full
-  /// database; when the learned answerer cannot take the query either,
-  /// the ladder ends in Status::Degraded carrying both failures.
+  /// Tier 1 of the ladder: TryLearnedAnswer, stamped with `result`'s
+  /// answerability and fallback reason. `cause` is the failure that forced
+  /// degradation past the full database; when the learned answerer cannot
+  /// take the query either, the ladder ends in Status::Degraded naming it.
   [[nodiscard]] util::Result<AnswerResult> AnswerLearnedTier(
       const sql::BoundQuery& bound, const util::Status& cause,
       AnswerResult result) const;

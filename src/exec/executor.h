@@ -158,11 +158,12 @@ class QueryEngine {
   /// targeting `view` (same statistics, same index-catalog coverage rule)
   /// and return the planned query without executing it. Planning is
   /// deterministic over (query, statistics, catalog), so feeding the
-  /// result to ExecutePlanned() — today or for a later identical query —
-  /// is byte-identical to Execute(query, view, ...). With the planner
-  /// disabled this returns `query` unchanged, which ExecutePlanned() runs
-  /// exactly as Execute() would. The batching serving tier uses this to
-  /// plan one fingerprint once and reuse the plan across a batch.
+  /// result to ExecutePlanned() is byte-identical to Execute(query, view,
+  /// ...). With the planner disabled this returns `query` unchanged, which
+  /// ExecutePlanned() runs exactly as Execute() would. The batching
+  /// serving tier plans each batch member once with this: the plan's
+  /// filters feed the shared scan (SharedFilterScan), and the plan itself
+  /// then executes over the scan's selections.
   [[nodiscard]] sql::BoundQuery PlanForView(
       const sql::BoundQuery& query, const storage::DatabaseView& view) const;
 

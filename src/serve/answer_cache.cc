@@ -1,17 +1,33 @@
 #include "serve/answer_cache.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace asqp {
 namespace serve {
 
+namespace {
+
+/// A heap block's header and rounding, roughly: glibc keeps 8 bytes per
+/// chunk and rounds chunks to 16.
+constexpr size_t kAllocationHeader = 2 * sizeof(void*);
+
+/// What `s` holds outside its own object: nothing while it fits the
+/// small-string buffer, else its heap block (capacity, terminator, header).
+size_t HeapStringBytes(const std::string& s) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  return s.capacity() > kInlineCapacity
+             ? s.capacity() + 1 + kAllocationHeader
+             : 0;
+}
+
+}  // namespace
+
 size_t EstimateAnswerBytes(const core::AnswerResult& result) {
   using Entry = AnswerCache::Entry;
   using Index = std::unordered_map<uint64_t, std::list<Entry>::iterator>;
-  // A heap block's header and rounding, roughly: glibc keeps 8 bytes per
-  // chunk and rounds chunks to 16.
-  constexpr size_t kAllocationHeader = 2 * sizeof(void*);
   // The LRU list node (the Entry between two links), the index node (a
   // link and the key-iterator pair) and its bucket slot, the control block
   // make_shared puts in front of the answer, and the headers of those three
@@ -21,10 +37,12 @@ size_t EstimateAnswerBytes(const core::AnswerResult& result) {
       (sizeof(void*) + sizeof(Index::value_type)) + sizeof(void*) +
       2 * sizeof(void*) + 4 * kAllocationHeader;
   size_t bytes = kEntryOverhead + sizeof(core::AnswerResult);
-  bytes += result.fallback_reason.size();
-  for (const std::string& name : result.result.column_names()) {
-    bytes += sizeof(std::string) + name.size();
+  bytes += HeapStringBytes(result.fallback_reason);
+  const std::vector<std::string>& names = result.result.column_names();
+  if (names.capacity() > 0) {
+    bytes += kAllocationHeader + names.capacity() * sizeof(std::string);
   }
+  for (const std::string& name : names) bytes += HeapStringBytes(name);
   // Capacities, not sizes: an entry keeps each allocation whole.
   const exec::ResultSet::Rows& rows = result.result.rows();
   if (!rows.empty()) {
@@ -33,9 +51,14 @@ size_t EstimateAnswerBytes(const core::AnswerResult& result) {
              rows.capacity() * sizeof(exec::ResultSet::Row);
   }
   for (const auto& row : rows) {
-    bytes += row.capacity() * sizeof(storage::Value);
+    // Each row's Value array is a heap block of its own.
+    if (row.capacity() > 0) {
+      bytes += kAllocationHeader + row.capacity() * sizeof(storage::Value);
+    }
     for (const storage::Value& v : row) {
-      if (v.type() == storage::ValueType::kString) bytes += v.AsString().size();
+      if (v.type() == storage::ValueType::kString) {
+        bytes += HeapStringBytes(v.AsString());
+      }
     }
   }
   return bytes;

@@ -24,11 +24,14 @@ namespace serve {
 
 /// Rough in-memory footprint of a cached answer (values + strings +
 /// column names + the shared rows block), counting each vector by its
-/// capacity, spare slots included, plus the cache's bookkeeping for its
-/// entry: the LRU list node, the index node and bucket slot, the answer's
-/// shared_ptr control block, and an allocation header for each of those
-/// and for the key. With its canonical key, what the cache's byte budget
-/// charges an entry.
+/// capacity, spare slots included, and each heap block it holds with an
+/// allocation header: the rows block, each row's Value array, and each
+/// string too long for its small-string buffer (a short string costs
+/// nothing beyond the object it lives in). Plus the cache's bookkeeping
+/// for its entry: the LRU list node, the index node and bucket slot, the
+/// answer's shared_ptr control block, and an allocation header for each
+/// of those and for the key. With its canonical key, what the cache's
+/// byte budget charges an entry.
 size_t EstimateAnswerBytes(const core::AnswerResult& result);
 
 class AnswerCache {

@@ -82,7 +82,6 @@ ServeEngine::Stats ServeEngine::stats() const {
   s.batches_formed = b.batches_formed;
   s.batch_members = b.batch_members;
   s.shared_scan_saved = shared_scan_saved_.load(std::memory_order_relaxed);
-  s.batch_solo = batch_solo_.load(std::memory_order_relaxed);
   s.inline_runs = b.inline_runs;
   return s;
 }
@@ -229,7 +228,7 @@ util::Result<core::AnswerResult> ServeEngine::Serve(FrontHalf&& front) {
   AnswerFuture future = ticket.promise.future();
   if (!scheduler_->RunInlineOrSubmit(std::move(ticket))) {
     // Refused: the ticket is still ours.
-    return RejectQueueFull(ticket.bound.stmt);
+    return RejectQueueFull(ticket.bound);
   }
   return future.Get();
 }
@@ -244,17 +243,17 @@ AnswerFuture ServeEngine::ServeAsync(FrontHalf&& front) {
   const AnswerPromise promise = ticket.promise;
   if (!scheduler_->Submit(std::move(ticket))) {
     // Refused: the ticket is still ours.
-    promise.Resolve(RejectQueueFull(ticket.bound.stmt));
+    promise.Resolve(RejectQueueFull(ticket.bound));
   }
   return promise.future();
 }
 
 util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
-    const sql::SelectStatement& stmt) {
+    const sql::BoundQuery& bound) {
   rejected_.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> reader(model_mu_);
   util::Result<core::AnswerResult> shed =
-      ShedOr(*model_, stmt, "shed:queue_full",
+      ShedOr(*model_, bound, "shed:queue_full",
              util::Status::ResourceExhausted(
                  "serve: admission queue is full; retry later"));
   if (shed.ok()) served_.fetch_add(1, std::memory_order_relaxed);
@@ -262,10 +261,10 @@ util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
 }
 
 util::Result<core::AnswerResult> ServeEngine::ShedOr(
-    const core::AsqpModel& model, const sql::SelectStatement& stmt,
+    const core::AsqpModel& model, const sql::BoundQuery& bound,
     std::string reason, util::Status otherwise) {
   if (options_.shed_to_learned) {
-    util::Result<core::AnswerResult> shed = model.TryLearnedAnswer(stmt);
+    util::Result<core::AnswerResult> shed = model.TryLearnedAnswer(bound);
     if (shed.ok()) {
       shed.value().fallback_reason = std::move(reason);
       shed_learned_.fetch_add(1, std::memory_order_relaxed);
@@ -303,7 +302,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
     if (cancelled || ticket.context.deadline().Expired()) {
       admission_expired_.fetch_add(1, std::memory_order_relaxed);
       util::Result<core::AnswerResult> shed =
-          ShedOr(model, ticket.bound.stmt,
+          ShedOr(model, ticket.bound,
                  cancelled ? "shed:cancelled" : "shed:admission_deadline",
                  util::Status::Degraded(
                      "admission budget exhausted while queued and the "
@@ -334,14 +333,10 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
   queries.reserve(reps.size());
   for (const Representative& rep : reps) {
     const BatchScheduler::Ticket& t = tickets[rep.ticket];
-    queries.push_back(core::AsqpModel::BatchQuery{
-        &t.bound, t.context, &t.fingerprint.canonical});
+    queries.push_back(core::AsqpModel::BatchQuery{&t.bound, t.context});
   }
-  core::AsqpModel::BatchStats bstats;
   std::vector<util::Result<core::AnswerResult>> answers =
-      model.AnswerBatch(queries, &plan_cache_, &bstats);
-  shared_scan_saved_.fetch_add(bstats.scans_saved, std::memory_order_relaxed);
-  batch_solo_.fetch_add(bstats.solo, std::memory_order_relaxed);
+      model.AnswerBatch(queries, shared_scan_saved_);
 
   // Convert each representative's outcome. A member that failed degrades
   // alone; its peers' results are already computed and resolve normally.
@@ -363,7 +358,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
         // failures itself, but one racing the ladder's tier boundaries
         // can still leak — convert it here so a client never sees a raw
         // timeout.
-        outcome = ShedOr(model, ticket.bound.stmt,
+        outcome = ShedOr(model, ticket.bound,
                          "shed:" + core::FallbackReasonFromStatus(failure),
                          util::Status::Degraded(
                              "no tier could answer within the budget: " +
@@ -388,10 +383,8 @@ util::Status ServeEngine::FineTune(const metric::Workload& new_queries) {
   std::unique_lock<std::shared_mutex> writer(model_mu_);
   ASQP_RETURN_NOT_OK(model_->FineTune(new_queries));
   // Lazy per-lookup invalidation already guarantees correctness; the
-  // eager sweep frees the stale entries' bytes immediately. Cached plans
-  // bind against the old approximation set, so drop them all.
+  // eager sweep frees the stale entries' bytes immediately.
   cache_.InvalidateOlderThan(model_->generation());
-  plan_cache_.Clear();
   // Memoized fingerprints stay valid across generations, but clearing
   // bounds the memo to texts served since the last fine-tune.
   memo_.Clear();

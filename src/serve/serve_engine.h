@@ -31,11 +31,14 @@
 //      execute as one batch sharing a single scan pass per table
 //      (AsqpModel::AnswerBatch), byte-identical to solo execution.
 //   3. The tail, ExecuteBatch, whichever thread runs it: expiry while
-//      queued, a cache hit since submission, canonical dedup, execution,
-//      and the conversion of every outcome. Under overload a client gets
-//      an answer (possibly load-shed to the model's learned fallback,
-//      with an error estimate) or a typed degradation — kDegraded, or
-//      kResourceExhausted when the queue is full — never a raw timeout.
+//      queued, a cache hit since submission, canonical dedup, then
+//      execution, where each member is a solo query whose scans were done
+//      for it (AsqpModel::AnswerBatch runs the solo ladder per member),
+//      and the conversion of every outcome once the batch has run. Under
+//      overload a client gets an answer (possibly load-shed to the model's
+//      learned fallback, with an error estimate) or a typed degradation —
+//      kDegraded, or kResourceExhausted when the queue is full — never a
+//      raw timeout.
 // Every query's morsel-parallel execution runs on one process-wide
 // util::ThreadPool (injected via ExecOptions::shared_pool), so total
 // execution threads never exceed its cap (util::ThreadPool::
@@ -57,7 +60,6 @@
 
 #include "core/config.h"
 #include "core/model.h"
-#include "plan/plan_reuse.h"
 #include "serve/answer_cache.h"
 #include "serve/answer_future.h"
 #include "serve/batch_scheduler.h"
@@ -146,7 +148,7 @@ class ServeEngine {
   /// Retrain on drifted/new queries (AsqpModel::FineTune) under the
   /// writer lock: waits for in-flight queries to drain, swaps the model
   /// state, invalidates every cached answer from older generations and
-  /// clears the plan cache and the text memo.
+  /// clears the text memo.
   [[nodiscard]] util::Status FineTune(const metric::Workload& new_queries);
 
   struct Stats {
@@ -163,7 +165,6 @@ class ServeEngine {
     uint64_t batches_formed = 0;  ///< batches executed, inline included
     uint64_t batch_members = 0;   ///< tickets across all formed batches
     uint64_t shared_scan_saved = 0;  ///< table scans avoided by sharing
-    uint64_t batch_solo = 0;      ///< members that fell back to solo exec
     uint64_t inline_runs = 0;     ///< batches run on the caller's thread
   };
   Stats stats() const;
@@ -222,16 +223,16 @@ class ServeEngine {
 
   /// The answer for a query the scheduler refused (queue full): load-shed
   /// to the learned fallback, or typed kResourceExhausted back-pressure.
-  /// `stmt` is the refused ticket's bound statement.
+  /// `bound` is the refused ticket's bound query.
   util::Result<core::AnswerResult> RejectQueueFull(
-      const sql::SelectStatement& stmt);
+      const sql::BoundQuery& bound);
 
-  /// The shed conversion: `stmt` answered by `model`'s learned fallback,
+  /// The shed conversion: `bound` answered by `model`'s learned fallback,
   /// labelled `reason` ("shed:<cause>"), when shedding is on and the
   /// learned tier can take the query; `otherwise` when not. The caller
   /// holds the reader lock that guards `model`.
   util::Result<core::AnswerResult> ShedOr(const core::AsqpModel& model,
-                                          const sql::SelectStatement& stmt,
+                                          const sql::BoundQuery& bound,
                                           std::string reason,
                                           util::Status otherwise);
 
@@ -250,12 +251,11 @@ class ServeEngine {
   /// SQL text -> fingerprint for texts whose full front half hit the
   /// cache (internally synchronized; cleared by FineTune).
   TextMemo memo_;
-  /// Fingerprint-keyed planned-query reuse for batch members (internally
-  /// synchronized; generation-stamped like the answer cache).
-  plan::PlanReuseCache plan_cache_;
-  std::shared_mutex model_mu_;
 
-  std::atomic<uint64_t> served_{0};
+  // Every request writes the members from here on (the counters and the
+  // lock's reader count); starting them on a fresh cache line keeps those
+  // writes off the members above, which every cache hit reads.
+  alignas(64) std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> admitted_{0};
@@ -265,7 +265,7 @@ class ServeEngine {
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> expired_fast_path_{0};
   std::atomic<uint64_t> shared_scan_saved_{0};
-  std::atomic<uint64_t> batch_solo_{0};
+  std::shared_mutex model_mu_;
 
   /// The admission gate. Declared last so its destructor runs first:
   /// queued tickets drain against a still-live engine.

@@ -124,31 +124,6 @@ const OrderedIndex* IndexCatalog::Find(const std::string& table,
   return it == indexes_.end() ? nullptr : &it->second;
 }
 
-util::Result<std::vector<IndexColumnSpec>> ParseIndexColumns(
-    const std::string& spec, const Database& db) {
-  std::vector<IndexColumnSpec> out;
-  for (const std::string& piece : util::Split(spec, ',')) {
-    const std::string entry(util::Trim(piece));
-    if (entry.empty()) continue;
-    const size_t dot = entry.find('.');
-    if (dot == std::string::npos || dot == 0 || dot + 1 == entry.size()) {
-      return util::Status::InvalidArgument(util::Format(
-          "index_columns: expected table.column, got \"%s\"", entry.c_str()));
-    }
-    const std::string table = entry.substr(0, dot);
-    const std::string column = entry.substr(dot + 1);
-    ASQP_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, db.GetTable(table));
-    const auto idx = t->schema().FieldIndex(column);
-    if (!idx.has_value()) {
-      return util::Status::InvalidArgument(
-          util::Format("index_columns: %s has no column \"%s\"",
-                       table.c_str(), column.c_str()));
-    }
-    out.push_back({table, static_cast<int>(*idx)});
-  }
-  return out;
-}
-
 std::vector<IndexColumnSpec> AllIndexColumns(const Database& db) {
   std::vector<IndexColumnSpec> out;
   for (const std::string& name : db.TableNames()) {

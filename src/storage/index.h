@@ -118,13 +118,7 @@ class IndexCatalog {
   std::map<std::pair<std::string, int>, OrderedIndex> indexes_;
 };
 
-/// Parse an AsqpConfig::index_columns spec — comma-separated
-/// "table.column" pairs (column by name) — against `db`. Unknown tables or
-/// columns fail with kInvalidArgument.
-[[nodiscard]] util::Result<std::vector<IndexColumnSpec>> ParseIndexColumns(
-    const std::string& spec, const Database& db);
-
-/// Every column of every table in `db`: the index_auto default. The
+/// Every column of every table in `db`: what the model indexes. The
 /// approximation set is bounded by k tuples, so exhaustive indexing stays
 /// cheap and the planner picks per-query which index (if any) pays.
 std::vector<IndexColumnSpec> AllIndexColumns(const Database& db);

@@ -283,8 +283,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(0, 1, 2, 4)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t, size_t>>&
            info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_dim" +
-             std::to_string(std::get<1>(info.param)) + "_pool" +
+      return std::string("k") + std::to_string(std::get<0>(info.param)) +
+             "_dim" + std::to_string(std::get<1>(info.param)) + "_pool" +
              std::to_string(std::get<2>(info.param));
     });
 

@@ -552,8 +552,12 @@ TEST_F(DegradationLadderTest, CostGateRoutesStraightToLearnedTier) {
 }
 
 TEST_F(DegradationLadderTest, TryLearnedAnswerHonorsTheSupportedClass) {
+  ASSERT_OK_AND_ASSIGN(sql::BoundQuery aggregate,
+                       sql::Bind(Parse(kAggregateSql), *model_->database()));
+  ASSERT_OK_AND_ASSIGN(sql::BoundQuery join_query,
+                       sql::Bind(Parse(kJoinSql), *model_->database()));
   ASSERT_OK_AND_ASSIGN(core::AnswerResult shed,
-                       model_->TryLearnedAnswer(Parse(kAggregateSql)));
+                       model_->TryLearnedAnswer(aggregate));
   EXPECT_EQ(shed.tier, core::AnswerTier::kLearned);
   EXPECT_TRUE(shed.fell_back);
   EXPECT_GT(shed.error_estimate, 0.0);
@@ -561,7 +565,7 @@ TEST_F(DegradationLadderTest, TryLearnedAnswerHonorsTheSupportedClass) {
   EXPECT_TRUE(shed.fallback_reason.empty());
 
   util::Result<core::AnswerResult> join =
-      model_->TryLearnedAnswer(Parse(kJoinSql));
+      model_->TryLearnedAnswer(join_query);
   ASSERT_FALSE(join.ok());
   EXPECT_EQ(join.status().code(), util::StatusCode::kInvalidArgument);
 }

@@ -103,7 +103,7 @@ SelectStatement RenameAliases(const SelectStatement& base) {
   SelectStatement s = base.Clone();
   std::map<std::string, std::string> rename;
   for (size_t i = 0; i < s.from.size(); ++i) {
-    const std::string alias = "r" + std::to_string(i);
+    const std::string alias = std::string("r") + std::to_string(i);
     rename[s.from[i].binding_name()] = alias;
     s.from[i].alias = alias;
   }
@@ -453,7 +453,11 @@ struct Digests {
 void AddConjuncts(const BoundQuery& bound, Digest* d) {
   for (size_t t = 0; t < bound.filters.size(); ++t) {
     for (const ExprPtr& f : bound.filters[t]) {
-      d->Add("f" + std::to_string(t) + " " + CanonicalizeExpr(*f));
+      std::string line = "f";
+      line += std::to_string(t);
+      line += ' ';
+      line += CanonicalizeExpr(*f);
+      d->Add(line);
     }
   }
   for (const JoinPredicate& j : bound.joins) {

@@ -239,25 +239,6 @@ TEST(IndexCatalog, ScopeCoverageAndLookup) {
   EXPECT_EQ(hit, (std::vector<uint32_t>{1}));
 }
 
-TEST(IndexCatalog, ParseIndexColumns) {
-  auto db = asqp::testing::MakeTinyMovieDb();
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<IndexColumnSpec> specs,
-      ParseIndexColumns(" movies.year , roles.actor ", *db));
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].table, "movies");
-  EXPECT_EQ(specs[0].column, 2);
-  EXPECT_EQ(specs[1].table, "roles");
-  EXPECT_EQ(specs[1].column, 1);
-
-  EXPECT_FALSE(ParseIndexColumns("movies", *db).ok());
-  EXPECT_FALSE(ParseIndexColumns("movies.nope", *db).ok());
-  EXPECT_FALSE(ParseIndexColumns("nope.year", *db).ok());
-  ASSERT_OK_AND_ASSIGN(std::vector<IndexColumnSpec> empty,
-                       ParseIndexColumns("", *db));
-  EXPECT_TRUE(empty.empty());
-}
-
 // ---- Planner access-path rule + end-to-end byte identity ---------------
 
 class IndexExecTest : public ::testing::Test {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "exec/executor.h"
 #include "io/io.h"
@@ -139,10 +141,12 @@ TEST(LoadCsvTableTest, CorruptedFixturesNameLineAndColumn) {
 }
 
 TEST(WriteCsvTest, RoundTripsThroughLoad) {
-  const exec::ResultSet rs(
-      {"id", "label"},
-      {{storage::Value(int64_t{1}), storage::Value(std::string("x,y"))},
-       {storage::Value(int64_t{2}), storage::Value()}});
+  exec::ResultSet::Rows rows(2);
+  rows[0].emplace_back(int64_t{1});
+  rows[0].emplace_back(std::string("x,y"));
+  rows[1].emplace_back(int64_t{2});
+  rows[1].emplace_back();
+  const exec::ResultSet rs({"id", "label"}, std::move(rows));
   std::ostringstream out;
   ASSERT_OK(WriteCsv(rs, out));
 

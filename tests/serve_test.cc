@@ -170,7 +170,7 @@ TEST(AnswerCacheTest, LongCanonicalKeysFitFewerEntries) {
   const auto entries_kept = [one](size_t key_bytes) {
     AnswerCache cache(8 * one, 1);
     for (uint64_t h = 0; h < 16; ++h) {
-      std::string key = "q" + std::to_string(h);
+      std::string key = std::string("q") + std::to_string(h);
       key.resize(std::max(key.size(), key_bytes), 'k');
       cache.Insert(MakeFp(h, key), 0, MakeAnswer("x", 1));
     }
@@ -223,6 +223,24 @@ TEST(AnswerCacheTest, EstimateChargesEachEntrysBookkeeping) {
   const core::AnswerResult empty;
   EXPECT_GE(EstimateAnswerBytes(empty),
             sizeof(core::AnswerResult) + list_node + index_node);
+}
+
+TEST(AnswerCacheTest, EstimateChargesRowBlocksAndHeapStrings) {
+  // A heap block costs at least a word of header beyond its payload.
+  constexpr size_t kHeader = sizeof(void*);
+  // Each further row is a Value array of its own on the heap.
+  const size_t one = EstimateAnswerBytes(MakeAnswer("x", 1));
+  const size_t two = EstimateAnswerBytes(MakeAnswer("x", 2));
+  EXPECT_GE(two - one, sizeof(exec::ResultSet::Row) +
+                           2 * sizeof(storage::Value) + kHeader);
+  // A string that fits the small-string buffer lives in its Value...
+  const std::string short_tag(std::string().capacity(), 's');
+  EXPECT_EQ(EstimateAnswerBytes(MakeAnswer(short_tag, 1)), one);
+  // ...and a longer one costs its whole heap block.
+  const std::string long_tag(100, 'l');
+  const core::AnswerResult long_answer = MakeAnswer(long_tag, 1);
+  EXPECT_GE(EstimateAnswerBytes(long_answer) - one,
+            long_answer.result.rows()[0][0].AsString().capacity() + kHeader);
 }
 
 // ---- TextMemo unit tests ----------------------------------------------
@@ -281,7 +299,7 @@ TEST(TextMemoTest, OversizedEntryIsNotKept) {
 TEST(TextMemoTest, ClearDropsEverything) {
   TextMemo memo(1 << 20, 4);
   for (int i = 0; i < 6; ++i) {
-    memo.Admit("q" + std::to_string(i), MakeFp(i, "c"));
+    memo.Admit(std::string("q") + std::to_string(i), MakeFp(i, "c"));
   }
   memo.Clear();
   TextMemo::Stats stats = memo.stats();
@@ -1058,6 +1076,41 @@ TEST_F(ServeEngineTest, EquivalentSpellingsDeduplicateWithinABatch) {
   EXPECT_EQ(stats.admitted - before.admitted, 1u);
   EXPECT_GE(stats.shared_scan_saved - before.shared_scan_saved, 1u);
   EXPECT_EQ(engine.cache().stats().entries, entries_before + 1);
+}
+
+TEST_F(ServeEngineTest, BatchMembersResolveOnceTheWholeBatchIsAnswered) {
+  ServeEngine engine(model_.get(), HeldServe());
+  testing::SlotHold hold(&engine);
+  const ServeEngine::Stats before = engine.stats();
+  const uint64_t answered_before = model_->answer_stats().answered;
+  std::vector<AnswerFuture> futures;
+  for (const char* sql :
+       {kTitleRecent, kTitleOld,
+        "SELECT t.name FROM title t WHERE t.rating > 8"}) {
+    futures.push_back(engine.AnswerSqlAsync(sql));
+  }
+  // Registered while the members queue behind the hold, so it runs on the
+  // executor thread the moment the first member resolves.
+  std::atomic<uint64_t> answered_at_first{0};
+  std::atomic<uint64_t> saved_at_first{0};
+  futures[0].OnReady([&](const util::Result<core::AnswerResult>&) {
+    answered_at_first.store(model_->answer_stats().answered);
+    saved_at_first.store(engine.stats().shared_scan_saved);
+  });
+  hold.Release();
+  for (AnswerFuture& f : futures) {
+    util::Result<core::AnswerResult> r = f.Get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().tier, core::AnswerTier::kApproximation);
+  }
+  const ServeEngine::Stats stats = engine.stats();
+  EXPECT_EQ(stats.batches_formed - before.batches_formed, 1u);
+  EXPECT_EQ(stats.batch_members - before.batch_members, futures.size());
+  EXPECT_GE(stats.shared_scan_saved - before.shared_scan_saved, 2u);
+  // Promises resolve after the whole batch has run: when the first member
+  // resolves, every peer is answered and the shared scan is credited.
+  EXPECT_EQ(answered_at_first.load(), answered_before + futures.size());
+  EXPECT_EQ(saved_at_first.load(), stats.shared_scan_saved);
 }
 
 TEST_F(ServeEngineTest, DisjointTableQueriesNeverShareABatch) {
