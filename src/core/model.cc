@@ -22,15 +22,58 @@ namespace core {
 
 namespace {
 
-exec::ExecOptions ExecOptionsFor(
-    const AsqpConfig& config,
-    std::shared_ptr<const plan::StatsCatalog> stats) {
+/// An engine with `config`'s executor settings, on `pool`.
+exec::QueryEngine EngineFor(
+    const AsqpConfig& config, std::shared_ptr<const plan::StatsCatalog> stats,
+    std::shared_ptr<util::ThreadPool> pool,
+    std::shared_ptr<const storage::IndexCatalog> catalog) {
   exec::ExecOptions options;
   options.num_threads = config.exec_threads;
   if (config.exec_morsel_rows > 0) options.morsel_rows = config.exec_morsel_rows;
   options.enable_planner = config.planner;
   options.planner_stats = std::move(stats);
-  return options;
+  options.shared_pool = std::move(pool);
+  options.index_catalog = std::move(catalog);
+  return exec::QueryEngine(options);
+}
+
+/// Algorithm 2: sample actions from `policy` until `budget` base tuples are
+/// selected. Greedy (argmax): at inference there is no exploration
+/// benefit, and greedy selection is deterministic for the user.
+storage::ApproximationSet GreedySet(const PreprocessResult& preprocess,
+                                    const rl::Policy& policy, uint64_t seed,
+                                    size_t budget) {
+  rl::GslEnv env(&preprocess.space, /*batch_size=*/0);
+  util::Rng rng(seed ^ 0xABCDEF01ULL);
+  env.Reset(0, &rng);
+  storage::ApproximationSet out;
+  for (size_t steps = 0; steps <= preprocess.space.num_actions(); ++steps) {
+    const std::vector<uint8_t>& mask = env.action_mask();
+    if (std::find(mask.begin(), mask.end(), 1) == mask.end()) break;
+    const rl::Policy::ActResult act =
+        policy.Act(env.state(), mask, &rng, /*greedy=*/true);
+    const rl::StepResult step = env.Step(act.action);
+    // Track the realized set size against the requested budget.
+    out = preprocess.space.Materialize(env.SelectedActions());
+    if (out.TotalTuples() >= budget || step.done) break;
+  }
+  return out;
+}
+
+/// Aggregates are estimated through their SPJ skeleton (Section 4.4).
+double Estimate(const AnswerabilityEstimator& estimator,
+                const sql::SelectStatement& stmt) {
+  if (!stmt.HasAggregates()) return estimator.Estimate(stmt);
+  return estimator.Estimate(metric::StripAggregates(stmt));
+}
+
+/// An estimator over `preprocess`'s representatives, no coverage measured.
+AnswerabilityEstimator Uncalibrated(const AsqpConfig& config,
+                                    const PreprocessResult& preprocess) {
+  return AnswerabilityEstimator(
+      embed::QueryEmbedder(config.embed_dim),
+      preprocess.representative_embeddings,
+      std::vector<double>(preprocess.representative_embeddings.size(), 0.0));
 }
 
 util::CircuitBreaker::Options BreakerOptionsFor(const AsqpConfig& config) {
@@ -101,116 +144,93 @@ AsqpModel::AsqpModel(const storage::Database* db, AsqpConfig config,
                      PreprocessResult preprocess, rl::Policy policy)
     : db_(db),
       config_(std::move(config)),
-      preprocess_(std::move(preprocess)),
-      policy_(std::move(policy)),
       planner_stats_(db != nullptr ? std::make_shared<const plan::StatsCatalog>(
                                          plan::StatsCatalog::Collect(*db))
                                    : nullptr),
-      engine_(ExecOptionsFor(config_, planner_stats_)),
       breaker_(BreakerOptionsFor(config_)) {
-  std::vector<double> coverage(preprocess_.representative_embeddings.size(),
-                               0.0);
-  estimator_ = std::make_unique<AnswerabilityEstimator>(
-      embed::QueryEmbedder(config_.embed_dim),
-      preprocess_.representative_embeddings, std::move(coverage));
-}
-
-std::unique_ptr<rl::Env> AsqpModel::MakeEnv() const {
-  return MakeEnvFactory(&preprocess_.space, config_)();
+  // Generation 0 before Train materializes it: no tuples, no indexes.
+  auto trained = std::make_shared<const PreprocessResult>(std::move(preprocess));
+  current_ = std::make_shared<const Generation>(Generation{
+      .preprocess = trained,
+      .policy = std::move(policy),
+      .set = std::make_shared<const storage::ApproximationSet>(),
+      .index_catalog = nullptr,
+      .engine = EngineFor(config_, planner_stats_, nullptr, nullptr),
+      .estimator = Uncalibrated(config_, *trained),
+      .learned = nullptr});
 }
 
 storage::ApproximationSet AsqpModel::GenerateApproximationSet(
     size_t req_size) const {
-  const size_t budget = req_size == 0 ? config_.k : req_size;
-  // Algorithm 2: sample actions from pi until |S| reaches req_size. We run
-  // the greedy (argmax) variant: at inference there is no exploration
-  // benefit, and greedy selection is deterministic for the user.
-  rl::GslEnv env(&preprocess_.space, /*batch_size=*/0);
-  util::Rng rng(config_.seed ^ 0xABCDEF01ULL);
-  env.Reset(0, &rng);
-  storage::ApproximationSet out;
-  size_t steps = 0;
-  const size_t max_steps = preprocess_.space.num_actions() + 1;
-  while (steps < max_steps) {
-    bool any_valid = false;
-    for (uint8_t m : env.action_mask()) {
-      if (m) {
-        any_valid = true;
-        break;
-      }
-    }
-    if (!any_valid) break;
-    const rl::Policy::ActResult act =
-        policy_.Act(env.state(), env.action_mask(), &rng, /*greedy=*/true);
-    const rl::StepResult step = env.Step(act.action);
-    ++steps;
-    // Track the realized set size against the requested budget.
-    out = preprocess_.space.Materialize(env.SelectedActions());
-    if (out.TotalTuples() >= budget || step.done) break;
-  }
-  return out;
+  const std::shared_ptr<const Generation> generation = current();
+  return GreedySet(*generation->preprocess, generation->policy, config_.seed,
+                   req_size == 0 ? config_.k : req_size);
 }
 
 void AsqpModel::MaterializeSet() {
-  set_ = GenerateApproximationSet(config_.k);
-  // Refit the learned fallback tier over the fresh approximation set (a
-  // stale synopsis would answer with the *previous* generation's bias).
-  learned_.reset();
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  const std::shared_ptr<const Generation> trained = current();
+  Publish(Build(trained->number, trained->preprocess, trained->policy,
+                trained->engine.options().shared_pool));
+}
+
+std::shared_ptr<const AsqpModel::Generation> AsqpModel::Build(
+    uint64_t number, std::shared_ptr<const PreprocessResult> preprocess,
+    rl::Policy policy, std::shared_ptr<util::ThreadPool> pool) const {
+  auto set = std::make_shared<const storage::ApproximationSet>(
+      GreedySet(*preprocess, policy, config_.seed, config_.k));
+  // Fit the learned fallback tier over the fresh set (a stale synopsis
+  // would answer with the previous generation's bias).
+  std::shared_ptr<const aqp::LearnedFallback> learned;
   if (config_.fallback_learned_enabled) {
     aqp::LearnedFallbackOptions options;
     options.seed = config_.seed ^ 0x1ea51edfa11ULL;
     util::Result<aqp::LearnedFallback> fitted =
-        aqp::LearnedFallback::Fit(*db_, set_, options);
+        aqp::LearnedFallback::Fit(*db_, *set, options);
     // A failed fit degrades gracefully: the ladder simply skips tier 1.
     if (fitted.ok()) {
-      learned_ = std::make_shared<const aqp::LearnedFallback>(
+      learned = std::make_shared<const aqp::LearnedFallback>(
           std::move(fitted).value());
     }
   }
-  // Fresh set, fresh indexes: a stale catalog would binary-search ordinals
-  // of the previous generation's subset. (FineTune re-stamps the catalog
-  // after it publishes the bumped generation.)
-  RebuildIndexes();
-}
-
-void AsqpModel::RebuildIndexes() {
   // Every column of the set is indexed: the set holds at most k tuples, so
   // exhaustive indexing is cheap, and the planner picks per query which
   // index (if any) pays. An index whose build fails is left out, and its
   // column is scanned in full: index presence never gates answering.
-  index_catalog_ = std::make_shared<const storage::IndexCatalog>(
-      storage::IndexCatalog::Build(storage::DatabaseView(db_, &set_),
-                                   storage::AllIndexColumns(*db_),
-                                   generation()));
-  RebuildEngine();
-}
-
-void AsqpModel::RebuildEngine() {
-  exec::ExecOptions options = ExecOptionsFor(config_, planner_stats_);
-  options.shared_pool = exec_pool_;
-  options.index_catalog = index_catalog_;
-  engine_ = exec::QueryEngine(options);
-}
-
-void AsqpModel::CalibrateEstimator() {
-  // Measure real per-representative coverage of the materialized set; the
-  // estimator interpolates these measurements for unseen queries.
+  auto catalog = std::make_shared<const storage::IndexCatalog>(
+      storage::IndexCatalog::Build(storage::DatabaseView(db_, set.get()),
+                                   storage::AllIndexColumns(*db_), number));
+  // Measure real per-representative coverage of the set; the estimator
+  // interpolates these measurements for unseen queries.
+  AnswerabilityEstimator estimator = Uncalibrated(config_, *preprocess);
   metric::ScoreEvaluator evaluator(
       db_, metric::ScoreOptions{.frame_size = config_.frame_size});
-  for (size_t i = 0; i < preprocess_.representatives.size(); ++i) {
+  for (size_t i = 0; i < preprocess->representatives.size(); ++i) {
     auto score =
-        evaluator.QueryScore(preprocess_.representatives.query(i).stmt, set_);
-    estimator_->SetCoverage(i, score.ok() ? score.value() : 0.0);
+        evaluator.QueryScore(preprocess->representatives.query(i).stmt, *set);
+    estimator.SetCoverage(i, score.ok() ? score.value() : 0.0);
   }
+  return std::make_shared<const Generation>(Generation{
+      .number = number,
+      .preprocess = std::move(preprocess),
+      .policy = std::move(policy),
+      .set = std::move(set),
+      .index_catalog = catalog,
+      .engine = EngineFor(config_, planner_stats_, std::move(pool), catalog),
+      .estimator = std::move(estimator),
+      .learned = std::move(learned)});
+}
+
+void AsqpModel::Publish(std::shared_ptr<const Generation> next) {
+  // `next` leaves with the previous generation, freed after the unlock.
+  std::lock_guard<std::mutex> lock(current_mu_);
+  current_.swap(next);
+  generation_.store(current_->number, std::memory_order_release);
 }
 
 double AsqpModel::EstimateAnswerability(
     const sql::SelectStatement& stmt) const {
-  // Aggregates are estimated through their SPJ skeleton (Section 4.4).
-  if (stmt.HasAggregates()) {
-    return estimator_->Estimate(metric::StripAggregates(stmt));
-  }
-  return estimator_->Estimate(stmt);
+  return Estimate(current()->estimator, stmt);
 }
 
 util::Result<AnswerResult> AsqpModel::Answer(const sql::SelectStatement& stmt) {
@@ -219,13 +239,15 @@ util::Result<AnswerResult> AsqpModel::Answer(const sql::SelectStatement& stmt) {
 
 util::Result<AnswerResult> AsqpModel::Answer(const sql::SelectStatement& stmt,
                                              const util::ExecContext& context) {
-  const double answerability = PrepareQuery(stmt);
+  const std::shared_ptr<const Generation> generation = current();
+  const double answerability = PrepareQuery(*generation, stmt);
   ASQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *db_));
-  return AnswerPrepared(bound, answerability, context);
+  return AnswerPrepared(*generation, bound, answerability, context);
 }
 
-double AsqpModel::PrepareQuery(const sql::SelectStatement& stmt) {
-  const double answerability = EstimateAnswerability(stmt);
+double AsqpModel::PrepareQuery(const Generation& generation,
+                               const sql::SelectStatement& stmt) {
+  const double answerability = Estimate(generation.estimator, stmt);
 
   // Drift bookkeeping (Section 4.4): confidently out-of-distribution
   // queries accumulate until fine-tuning is triggered. The deviation
@@ -233,7 +255,7 @@ double AsqpModel::PrepareQuery(const sql::SelectStatement& stmt) {
   // SPJ skeleton (AnswerabilityEstimator::DeviationConfidence), so the
   // skeleton is copied only when it is recorded. Concurrent sessions
   // record through one mutex; everything else on the answer path reads
-  // immutable inference state.
+  // the pinned generation.
   if (1.0 - answerability > config_.drift_confidence) {
     sql::SelectStatement spj = stmt.HasAggregates()
                                    ? metric::StripAggregates(stmt)
@@ -259,8 +281,9 @@ util::ExecContext AsqpModel::ApproxContextFor(
 }
 
 util::Result<AnswerResult> AsqpModel::AnswerPrepared(
-    const sql::BoundQuery& bound, double answerability,
-    const util::ExecContext& context, const sql::BoundQuery* planned,
+    const Generation& generation, const sql::BoundQuery& bound,
+    double answerability, const util::ExecContext& context,
+    const sql::BoundQuery* planned,
     const std::vector<exec::ScanSelection>* selections) {
   AnswerResult result;
   result.answerability = answerability;
@@ -271,12 +294,12 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
       // with a machine-readable reason — while its peers keep their
       // shared-scan answers untouched.
       return DegradeFrom(
-          bound, context,
+          generation, bound, context,
           util::Status::ExecutionError(
               "injected fault(serve.batch): batched member execution failed"),
           std::move(result));
     }
-    storage::DatabaseView view(db_, &set_);
+    storage::DatabaseView view(db_, generation.set.get());
     util::ExecContext approx_context = ApproxContextFor(context);
     // Tier 0 with bounded retries: transient failures (allocation
     // pressure, injected faults) get a jittered backoff and another
@@ -291,9 +314,9 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
     for (size_t attempt = 0;; ++attempt) {
       util::Result<exec::ResultSet> approx =
           planned != nullptr
-              ? engine_.ExecutePlanned(*planned, view, *selections,
-                                       approx_context)
-              : engine_.Execute(bound, view, approx_context);
+              ? generation.engine.ExecutePlanned(*planned, view, *selections,
+                                                 approx_context)
+              : generation.engine.Execute(bound, view, approx_context);
       if (approx.ok()) {
         result.result = std::move(approx).value();
         result.used_approximation = true;
@@ -318,7 +341,7 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
     // failing the user's query. Genuine query errors (bad SQL semantics,
     // internal faults) still propagate.
     if (!IsDegradationClass(failure)) return failure;
-    return DegradeFrom(bound, context, failure, std::move(result));
+    return DegradeFrom(generation, bound, context, failure, std::move(result));
   }
 
   // Estimator-routed full-database path (answerability below the
@@ -328,7 +351,7 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
   full_context.set_deadline(util::Deadline::Unlimited());
   storage::DatabaseView view(db_);
   ASQP_ASSIGN_OR_RETURN(result.result,
-                        engine_.Execute(bound, view, full_context));
+                        generation.engine.Execute(bound, view, full_context));
   result.used_approximation = false;
   result.tier = AnswerTier::kFullDatabase;
   answered_.fetch_add(1, std::memory_order_relaxed);
@@ -336,8 +359,9 @@ util::Result<AnswerResult> AsqpModel::AnswerPrepared(
 }
 
 util::Result<AnswerResult> AsqpModel::DegradeFrom(
-    const sql::BoundQuery& bound, const util::ExecContext& context,
-    const util::Status& failure, AnswerResult result) {
+    const Generation& generation, const sql::BoundQuery& bound,
+    const util::ExecContext& context, const util::Status& failure,
+    AnswerResult result) {
   result.fell_back = true;
   result.fallback_reason = FallbackReasonFromStatus(failure);
   util::Status degrade_cause = failure;
@@ -363,7 +387,7 @@ util::Result<AnswerResult> AsqpModel::DegradeFrom(
     full_context.set_deadline(util::Deadline::Unlimited());
     storage::DatabaseView view(db_);
     util::Result<exec::ResultSet> full =
-        engine_.Execute(bound, view, full_context);
+        generation.engine.Execute(bound, view, full_context);
     // Breaker bookkeeping: a degraded full-database execution "fails" when
     // the caller's *original* deadline has expired by the time it
     // resolves — the answer arrived too late to matter, and consecutive
@@ -400,8 +424,8 @@ util::Result<AnswerResult> AsqpModel::DegradeFrom(
 
   // Tier 1: the learned answerer — reached when the full database is
   // unaffordable, breaker-blocked, or itself degraded.
-  util::Result<AnswerResult> learned =
-      AnswerLearnedTier(bound, degrade_cause, std::move(result));
+  util::Result<AnswerResult> learned = AnswerLearnedTier(
+      generation, bound, degrade_cause, std::move(result));
   if (learned.ok()) {
     answered_.fetch_add(1, std::memory_order_relaxed);
     fallbacks_.fetch_add(1, std::memory_order_relaxed);
@@ -410,7 +434,7 @@ util::Result<AnswerResult> AsqpModel::DegradeFrom(
 }
 
 std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
-    const std::vector<BatchQuery>& queries,
+    const Generation& generation, const std::vector<BatchQuery>& queries,
     std::atomic<uint64_t>& scans_saved) {
   const size_t n = queries.size();
   // Estimate every member. Members with no scan to share are answered at
@@ -422,10 +446,10 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   std::vector<double> answerability(n);
   std::vector<size_t> batched;
   for (size_t i = 0; i < n; ++i) {
-    answerability[i] = PrepareQuery(queries[i].bound->stmt);
+    answerability[i] = PrepareQuery(generation, queries[i].bound->stmt);
     if (n == 1 || answerability[i] < config_.answerable_threshold) {
-      answers[i] = AnswerPrepared(*queries[i].bound, answerability[i],
-                                  queries[i].context);
+      answers[i] = AnswerPrepared(generation, *queries[i].bound,
+                                  answerability[i], queries[i].context);
     } else {
       batched.push_back(i);
     }
@@ -435,7 +459,7 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   // and group (member, FROM index) pairs by table. std::map: deterministic
   // scan order regardless of pointer layout. Vectors below are indexed by
   // a member's position in `batched`.
-  storage::DatabaseView view(db_, &set_);
+  storage::DatabaseView view(db_, generation.set.get());
   const size_t k = batched.size();
   std::vector<sql::BoundQuery> planned;
   planned.reserve(k);
@@ -448,7 +472,7 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   bool any_unlimited = batched.empty();
   for (size_t j = 0; j < k; ++j) {
     const BatchQuery& query = queries[batched[j]];
-    planned.push_back(engine_.PlanForView(*query.bound, view));
+    planned.push_back(generation.engine.PlanForView(*query.bound, view));
     for (size_t t = 0; t < planned[j].num_tables(); ++t) {
       groups[planned[j].tables[t]->name()].push_back({j, t});
     }
@@ -479,8 +503,8 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
           exec::SharedScanMember{&planned[entry.first], entry.second});
     }
     std::vector<std::vector<uint32_t>> rows;
-    scan_status =
-        engine_.SharedFilterScan(view, table, members, scan_context, &rows);
+    scan_status = generation.engine.SharedFilterScan(view, table, members,
+                                                     scan_context, &rows);
     if (!scan_status.ok()) break;
     for (size_t e = 0; e < entries.size(); ++e) {
       selections[entries[e].first][entries[e].second] =
@@ -498,8 +522,8 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
   // Every member runs the solo ladder over its plan and its selections.
   for (size_t j = 0; j < k; ++j) {
     const size_t i = batched[j];
-    answers[i] = AnswerPrepared(*queries[i].bound, answerability[i],
-                                queries[i].context,
+    answers[i] = AnswerPrepared(generation, *queries[i].bound,
+                                answerability[i], queries[i].context,
                                 shared ? &planned[j] : nullptr,
                                 shared ? &selections[j] : nullptr);
   }
@@ -510,9 +534,9 @@ std::vector<util::Result<AnswerResult>> AsqpModel::AnswerBatch(
 }
 
 util::Result<AnswerResult> AsqpModel::AnswerLearnedTier(
-    const sql::BoundQuery& bound, const util::Status& cause,
-    AnswerResult result) const {
-  util::Result<AnswerResult> learned = TryLearnedAnswer(bound);
+    const Generation& generation, const sql::BoundQuery& bound,
+    const util::Status& cause, AnswerResult result) const {
+  util::Result<AnswerResult> learned = TryLearnedAnswer(generation, bound);
   if (!learned.ok()) {
     return util::Status::Degraded(
         "every degradation tier exhausted (reason: " +
@@ -525,19 +549,16 @@ util::Result<AnswerResult> AsqpModel::AnswerLearnedTier(
 }
 
 util::Result<AnswerResult> AsqpModel::TryLearnedAnswer(
-    const sql::BoundQuery& bound) const {
-  // Snapshot the pointer: FineTune swaps learned_ under the serving
-  // layer's writer lock, but model-level callers may race MaterializeSet
-  // in tests — a local shared_ptr keeps the synopsis alive regardless.
-  const std::shared_ptr<const aqp::LearnedFallback> learned = learned_;
-  if (learned == nullptr) {
+    const Generation& generation, const sql::BoundQuery& bound) const {
+  if (generation.learned == nullptr) {
     return util::Status::NotFound("no learned fallback fitted");
   }
-  if (!learned->CanAnswer(bound)) {
+  if (!generation.learned->CanAnswer(bound)) {
     return util::Status::InvalidArgument(
         "query outside the learned fallback's supported class");
   }
-  ASQP_ASSIGN_OR_RETURN(aqp::LearnedAnswer answer, learned->Answer(bound));
+  ASQP_ASSIGN_OR_RETURN(aqp::LearnedAnswer answer,
+                        generation.learned->Answer(bound));
   AnswerResult result;
   result.result = std::move(answer.result);
   result.used_approximation = false;
@@ -549,11 +570,13 @@ util::Result<AnswerResult> AsqpModel::TryLearnedAnswer(
 }
 
 void AsqpModel::SetExecutionPool(std::shared_ptr<util::ThreadPool> pool) {
-  // Rebuilding the engine keeps the planner configuration, statistics, and
-  // index catalog: routing execution through a shared pool must not change
-  // plans (or bytes — the serving layer's cached answers assume both).
-  exec_pool_ = std::move(pool);
-  RebuildEngine();
+  // The current generation on another pool: plans, bytes and the number
+  // stay (cached answers assume all three); the rest is shared.
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  auto next = std::make_shared<Generation>(*current());
+  next->engine =
+      EngineFor(config_, planner_stats_, std::move(pool), next->index_catalog);
+  Publish(std::move(next));
 }
 
 util::Result<AnswerResult> AsqpModel::AnswerSql(const std::string& sql) {
@@ -567,24 +590,25 @@ bool AsqpModel::NeedsFineTuning() const {
 }
 
 util::Status AsqpModel::FineTune(const metric::Workload& new_queries) {
-  // Merge the drifted / provided queries with the existing representatives
-  // (recent interests weighted up) and retrain with a shortened schedule.
-  // FineTune is a writer (it swaps the policy/estimator/approximation
-  // set): callers serialize it against concurrent Answer()s — the drift
-  // lock below only protects the vector itself.
-  size_t drift_count = 0;
+  // Merge the drifted / provided queries with the current representatives
+  // (recent interests weighted up) and retrain with a shortened schedule,
+  // while readers answer from the current generation.
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  const std::shared_ptr<const Generation> base = current();
   metric::Workload merged;
   for (const metric::WeightedQuery& q :
-       preprocess_.representatives.queries()) {
+       base->preprocess->representatives.queries()) {
     merged.Add(q.stmt.Clone(), q.weight);
   }
-  const double boost =
-      2.0 / std::max<size_t>(1, new_queries.size());
+  const double boost = 2.0 / std::max<size_t>(1, new_queries.size());
   for (const metric::WeightedQuery& q : new_queries.queries()) {
     merged.Add(q.stmt.Clone(), boost);
   }
+  // The drift list as it stands now. An arrival recorded while this runs
+  // stays for the next fine-tune, and a failed one leaves the list whole.
+  size_t drift_count = 0;
   {
-    std::lock_guard<std::mutex> lock(drift_mu_);
+    std::lock_guard<std::mutex> drift_lock(drift_mu_);
     for (const sql::SelectStatement& q : drifted_queries_) {
       merged.Add(q.Clone(), boost);
     }
@@ -606,26 +630,16 @@ util::Status AsqpModel::FineTune(const metric::Workload& new_queries) {
       rl::Train(MakeEnvFactory(&preprocess.space, tune_config),
                 trainer_config));
 
-  preprocess_ = std::move(preprocess);
-  policy_ = std::move(trained.policy);
-  estimator_ = std::make_unique<AnswerabilityEstimator>(
-      embed::QueryEmbedder(config_.embed_dim),
-      preprocess_.representative_embeddings,
-      std::vector<double>(preprocess_.representative_embeddings.size(), 0.0));
+  std::shared_ptr<const Generation> next =
+      Build(base->number + 1,
+            std::make_shared<const PreprocessResult>(std::move(preprocess)),
+            std::move(trained.policy), base->engine.options().shared_pool);
   {
-    std::lock_guard<std::mutex> lock(drift_mu_);
-    drifted_queries_.clear();
+    std::lock_guard<std::mutex> drift_lock(drift_mu_);
+    drifted_queries_.erase(drifted_queries_.begin(),
+                           drifted_queries_.begin() + drift_count);
   }
-  MaterializeSet();
-  CalibrateEstimator();
-  // Publish the new approximation-set generation last: a cached answer
-  // stamped with the old generation is stale from this point on.
-  generation_.fetch_add(1, std::memory_order_release);
-  // Re-stamp the index catalog with the generation it now serves (the
-  // rebuild inside MaterializeSet ran before the bump). FineTune is
-  // serialized against Answer, so nothing executes between the two swaps;
-  // the second build over the <= k-tuple set is cheap.
-  RebuildIndexes();
+  Publish(std::move(next));
   return util::Status::OK();
 }
 

@@ -86,15 +86,44 @@ struct AnswerResult {
 
 class AsqpModel {
  public:
+  /// Everything a request reads, and the trained state the next fine-tune
+  /// starts from: built to the side, published whole, never changed after.
+  struct Generation {
+    /// Bumped by every FineTune; stamps the index catalog and, in the
+    /// serving layer, every cached answer.
+    uint64_t number = 0;
+    std::shared_ptr<const PreprocessResult> preprocess;
+    rl::Policy policy;
+    /// Shared, never copied, by a republish: the index catalog covers this
+    /// object only (IndexCatalog::CoversView), and a copy would turn every
+    /// index scan into a full scan.
+    std::shared_ptr<const storage::ApproximationSet> set;
+    std::shared_ptr<const storage::IndexCatalog> index_catalog;
+    exec::QueryEngine engine;  ///< carries index_catalog and the pool
+    AnswerabilityEstimator estimator;  ///< calibrated against `set`
+    /// Fitted over `set`; null when disabled or when the fit failed.
+    std::shared_ptr<const aqp::LearnedFallback> learned;
+  };
+
   AsqpModel(const storage::Database* db, AsqpConfig config,
             PreprocessResult preprocess, rl::Policy policy);
 
-  /// Algorithm 2: sample tuple-group actions from the learned policy until
+  /// The published generation: a request pins it once and answers from it
+  /// alone, whatever is published meanwhile.
+  std::shared_ptr<const Generation> current() const {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
+  }
+
+  /// Algorithm 2: sample tuple-group actions from the current policy until
   /// `req_size` base tuples are selected (0 = the configured budget k).
   storage::ApproximationSet GenerateApproximationSet(size_t req_size = 0) const;
 
-  /// The approximation set materialized at construction (greedy rollout).
-  const storage::ApproximationSet& approximation_set() const { return set_; }
+  /// The current approximation set, valid until the next FineTune
+  /// publishes (pin current() to hold one across it).
+  const storage::ApproximationSet& approximation_set() const {
+    return *current()->set;
+  }
 
   /// Answerability estimate in [0, 1] for a query (Section 4.4).
   double EstimateAnswerability(const sql::SelectStatement& stmt) const;
@@ -102,14 +131,11 @@ class AsqpModel {
   /// Answer a query through the mediator: approximation set when the
   /// estimator deems it answerable (estimate >= threshold), otherwise the
   /// full database. Aggregate queries are estimated via their SPJ skeleton
-  /// but executed as written. Records drift statistics.
+  /// but executed as written. Records drift statistics. The estimate, the
+  /// route and every tier of the ladder read one pinned generation.
   ///
-  /// Thread safety: concurrent Answer() calls are safe (the serving layer
-  /// runs many sessions against one model) — inference state is read-only
-  /// and drift bookkeeping is internally synchronized. FineTune() and
-  /// SetExecutionPool() are *writers* and must be externally serialized
-  /// against every concurrent Answer (serve::ServeEngine holds a
-  /// reader-writer lock for exactly this).
+  /// Thread safety: any number of Answer() calls may run at once, and
+  /// alongside FineTune() and SetExecutionPool().
   [[nodiscard]] util::Result<AnswerResult> Answer(const sql::SelectStatement& stmt);
   /// As above, but the caller's ExecContext (deadline / cancellation)
   /// bounds the approximation-set attempt; when it is unlimited the
@@ -132,50 +158,45 @@ class AsqpModel {
     util::ExecContext context;
   };
 
-  /// Answer a batch of queries, each as a solo query whose scans were done
-  /// for it. Every member is estimated as Answer() estimates it. The
-  /// answerable members of a multi-member batch are planned, grouped by
-  /// table and filtered by one shared scan pass per table
-  /// (exec::QueryEngine::SharedFilterScan), which reproduces each member's
-  /// own filtered-scan output exactly; each then runs AnswerPrepared, the
-  /// solo ladder, over its plan and its selections, so answers are
-  /// byte-identical to Answer() per member and a faulted member degrades
-  /// alone. Every other member (the only member of a one-query batch,
-  /// answerability below threshold, every member of a batch whose shared
-  /// scan failed) runs AnswerPrepared as Answer() does. `scans_saved` is
-  /// credited with the per-table scan passes the shared scan avoided.
-  /// Returns one Result per input, index-aligned.
-  ///
-  /// Thread safety: a *reader*, same contract as Answer().
+  /// Answer a batch of queries from `generation`, each as a solo query
+  /// whose scans were done for it. Every member is estimated as Answer()
+  /// estimates it. The answerable members of a multi-member batch are
+  /// planned, grouped by table and filtered by one shared scan pass per
+  /// table (exec::QueryEngine::SharedFilterScan), which reproduces each
+  /// member's own filtered-scan output exactly; each then runs
+  /// AnswerPrepared, the solo ladder, over its plan and its selections, so
+  /// answers are byte-identical to Answer() per member and a faulted
+  /// member degrades alone. Every other member (the only member of a
+  /// one-query batch, answerability below threshold, every member of a
+  /// batch whose shared scan failed) runs AnswerPrepared as Answer() does.
+  /// `scans_saved` is credited with the per-table scan passes the shared
+  /// scan avoided. Returns one Result per input, index-aligned.
   [[nodiscard]] std::vector<util::Result<AnswerResult>> AnswerBatch(
-      const std::vector<BatchQuery>& queries,
+      const Generation& generation, const std::vector<BatchQuery>& queries,
       std::atomic<uint64_t>& scans_saved);
 
-  /// Answer `bound` from the learned fallback tier alone (no execution, no
-  /// admission): used by the serving layer to shed load when a query
-  /// cannot be admitted, and by the ladder's tier 1. Fails (kNotFound /
-  /// kInvalidArgument) when the learned answerer is absent or the query is
-  /// outside its class. The result carries no answerability and no
-  /// fallback reason; the caller stamps those.
-  ///
-  /// Thread safety: a *reader* — the serving layer calls it under the same
-  /// reader lock as Answer() (FineTune swaps the learned answerer).
+  /// Answer `bound` from `generation`'s learned fallback alone (no
+  /// execution, no admission): used by the serving layer to shed load when
+  /// a query cannot be admitted, and by the ladder's tier 1. Fails
+  /// (kNotFound / kInvalidArgument) when the learned answerer is absent or
+  /// the query is outside its class. The result carries no answerability
+  /// and no fallback reason; the caller stamps those.
   [[nodiscard]] util::Result<AnswerResult> TryLearnedAnswer(
-      const sql::BoundQuery& bound) const;
+      const Generation& generation, const sql::BoundQuery& bound) const;
 
   /// Interest drift (C5): true once `drift_trigger` out-of-distribution
   /// queries with deviation confidence > `drift_confidence` accumulated.
   bool NeedsFineTuning() const;
 
-  /// Fine-tune on the drifted workload: merge `new_queries` with the
-  /// training representatives, re-run pre-processing and a shortened
-  /// training run, and swap in the improved policy/approximation set.
-  [[nodiscard]] util::Status FineTune(const metric::Workload& new_queries);
+  /// Fine-tune on the drifted workload: merge `new_queries` and the drift
+  /// list with the current representatives, re-run pre-processing and a
+  /// shortened training run, and publish the next generation. Readers keep
+  /// answering from the current one meanwhile.
+  [[nodiscard]] util::Status FineTune(const metric::Workload& new_queries)
+      ASQP_EXCLUDES(writer_mu_);
 
-  const AnswerabilityEstimator& estimator() const { return *estimator_; }
-  const rl::Policy& policy() const { return policy_; }
   const metric::Workload& representatives() const {
-    return preprocess_.representatives;
+    return current()->preprocess->representatives;
   }
   const AsqpConfig& config() const { return config_; }
   /// The underlying full database this model mediates over.
@@ -187,17 +208,18 @@ class AsqpModel {
     return drifted_queries_.size();
   }
 
-  /// Monotonic approximation-set generation: bumped every time FineTune
-  /// swaps in a new policy/approximation set. The serving layer stamps
-  /// cached answers with this and treats a mismatch as invalidation.
+  /// The published generation's number, read without pinning it: stored
+  /// after each publish, so a reader that sees a number pins that
+  /// generation or a later one.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
 
   /// Route this model's query execution through an externally owned pool
-  /// (the serving layer's process-wide pool; see ExecOptions::shared_pool).
-  /// Writer: must not run concurrently with Answer().
-  void SetExecutionPool(std::shared_ptr<util::ThreadPool> pool);
+  /// (the serving layer's process-wide pool; see ExecOptions::shared_pool):
+  /// republishes the current generation with an engine on `pool`.
+  void SetExecutionPool(std::shared_ptr<util::ThreadPool> pool)
+      ASQP_EXCLUDES(writer_mu_);
 
   /// Cumulative Answer() bookkeeping (monotonic, thread-safe).
   struct AnswerStats {
@@ -215,19 +237,9 @@ class AsqpModel {
                        learned_served_.load(std::memory_order_relaxed)};
   }
 
-  /// The learned fallback answerer (null until MaterializeSet has run or
-  /// when fallback_learned_enabled is false).
-  std::shared_ptr<const aqp::LearnedFallback> learned_fallback() const {
-    return learned_;
-  }
-
-  /// Ordered secondary indexes over the current approximation set, stamped
-  /// with the generation they serve (null until MaterializeSet has run or
-  /// when indexing is disabled). FineTune swaps in a freshly built catalog
-  /// stamped with the bumped generation — reader threads holding the old
-  /// shared_ptr keep a consistent (db, set, indexes) snapshot.
+  /// The current generation's index catalog.
   std::shared_ptr<const storage::IndexCatalog> index_catalog() const {
-    return index_catalog_;
+    return current()->index_catalog;
   }
 
   /// The circuit breaker guarding the full-database tier (tests drive its
@@ -237,34 +249,37 @@ class AsqpModel {
  private:
   friend class AsqpTrainer;
 
-  /// Build the env for this model's configuration.
-  std::unique_ptr<rl::Env> MakeEnv() const;
-  void MaterializeSet();
-  void CalibrateEstimator();
-  /// Rebuild the secondary-index catalog over the current approximation
-  /// set (stamped with the current generation) and swap in an engine that
-  /// carries it. Writer: same serialization contract as FineTune.
-  void RebuildIndexes();
-  /// Rebuild engine_ from config_, preserving the planner statistics, the
-  /// index catalog, and any injected execution pool.
-  void RebuildEngine();
+  /// Materialize the trained generation: AsqpTrainer::Train's publish.
+  void MaterializeSet() ASQP_EXCLUDES(writer_mu_);
+
+  /// The generation numbered `number` that `preprocess` and `policy` lead
+  /// to, with its engine on `pool`.
+  std::shared_ptr<const Generation> Build(
+      uint64_t number, std::shared_ptr<const PreprocessResult> preprocess,
+      rl::Policy policy, std::shared_ptr<util::ThreadPool> pool) const;
+
+  /// Make `next` the generation every later pin sees, then its number the
+  /// one every later cache probe reads. The caller holds writer_mu_.
+  void Publish(std::shared_ptr<const Generation> next);
 
   /// Answer()'s pre-execution half, run once per statement however it
-  /// then executes (solo or batched): the answerability estimate and the
-  /// drift bookkeeping. Returns the answerability.
-  double PrepareQuery(const sql::SelectStatement& stmt);
+  /// then executes (solo or batched): the answerability estimate on
+  /// `generation` and the drift bookkeeping. Returns the answerability.
+  double PrepareQuery(const Generation& generation,
+                      const sql::SelectStatement& stmt);
 
   /// Answer()'s execution half and the only tier-0 path: the full
   /// degradation ladder over `bound` (the statement bound against the
-  /// database) with its answerability. Answer(stmt, ctx) ==
-  /// AnswerPrepared(Bind(stmt), PrepareQuery(stmt), ctx). A batch member
-  /// also passes its plan (QueryEngine::PlanForView of `bound`) and its
-  /// shared scan's `selections`, which tier 0 runs through ExecutePlanned
-  /// instead of planning and scanning again; such a member's serve.batch
-  /// fault point degrades it straight down the ladder.
+  /// database) with its answerability, on `generation`. Answer(stmt, ctx)
+  /// == AnswerPrepared(g, Bind(stmt), PrepareQuery(g, stmt), ctx). A batch
+  /// member also passes its plan (QueryEngine::PlanForView of `bound`) and
+  /// its shared scan's `selections`, which tier 0 runs through
+  /// ExecutePlanned instead of planning and scanning again; such a
+  /// member's serve.batch fault point degrades it straight down the
+  /// ladder.
   [[nodiscard]] util::Result<AnswerResult> AnswerPrepared(
-      const sql::BoundQuery& bound, double answerability,
-      const util::ExecContext& context,
+      const Generation& generation, const sql::BoundQuery& bound,
+      double answerability, const util::ExecContext& context,
       const sql::BoundQuery* planned = nullptr,
       const std::vector<exec::ScanSelection>* selections = nullptr);
 
@@ -274,8 +289,9 @@ class AsqpModel {
   /// answerability already computed. Increments the answered/fallback
   /// counters for whichever tier serves.
   [[nodiscard]] util::Result<AnswerResult> DegradeFrom(
-      const sql::BoundQuery& bound, const util::ExecContext& context,
-      const util::Status& failure, AnswerResult result);
+      const Generation& generation, const sql::BoundQuery& bound,
+      const util::ExecContext& context, const util::Status& failure,
+      AnswerResult result);
 
   /// The context bounding a tier-0 (approximation set) attempt: the
   /// caller's when it carries a deadline, else the configured
@@ -287,31 +303,15 @@ class AsqpModel {
   /// degradation past the full database; when the learned answerer cannot
   /// take the query either, the ladder ends in Status::Degraded naming it.
   [[nodiscard]] util::Result<AnswerResult> AnswerLearnedTier(
-      const sql::BoundQuery& bound, const util::Status& cause,
-      AnswerResult result) const;
+      const Generation& generation, const sql::BoundQuery& bound,
+      const util::Status& cause, AnswerResult result) const;
 
   const storage::Database* db_;
   AsqpConfig config_;
-  PreprocessResult preprocess_;
-  rl::Policy policy_;
-  storage::ApproximationSet set_;
-  std::unique_ptr<AnswerabilityEstimator> estimator_;
   /// Column statistics over the full database for the cost-based planner,
-  /// collected once at construction and shared with every engine rebuild
-  /// (SetExecutionPool). Declared before engine_: the constructor feeds it
-  /// into the engine's ExecOptions.
+  /// collected once at construction and shared by every generation's
+  /// engine.
   std::shared_ptr<const plan::StatsCatalog> planner_stats_;
-  /// Ordered indexes over (db_, set_), rebuilt with the set (see
-  /// index_catalog()). Declared before engine_: engine rebuilds carry it.
-  std::shared_ptr<const storage::IndexCatalog> index_catalog_;
-  /// Externally injected execution pool (SetExecutionPool); preserved
-  /// across engine rebuilds so MaterializeSet cannot silently detach the
-  /// serving layer's shared pool.
-  std::shared_ptr<util::ThreadPool> exec_pool_;
-  exec::QueryEngine engine_;
-  /// Learned fallback tier, rebuilt by MaterializeSet (FineTune swaps it;
-  /// the serving layer's reader lock covers the swap).
-  std::shared_ptr<const aqp::LearnedFallback> learned_;
   /// Breaker guarding degradation-path full-database executions.
   util::CircuitBreaker breaker_;
 
@@ -320,11 +320,20 @@ class AsqpModel {
   mutable std::mutex drift_mu_;
   std::vector<sql::SelectStatement> drifted_queries_ ASQP_GUARDED_BY(drift_mu_);
 
-  /// Approximation-set generation (see generation()).
-  std::atomic<uint64_t> generation_{0};
+  /// Serializes the writers (Train's publish, FineTune, SetExecutionPool),
+  /// each of which builds on the current generation. Readers never take it.
+  std::mutex writer_mu_;
+
+  /// Held only to copy or replace current_, never while building.
+  mutable std::mutex current_mu_;
+  std::shared_ptr<const Generation> current_ ASQP_GUARDED_BY(current_mu_);
+
+  /// current_'s number (see generation()), on a cache line of its own:
+  /// every cache hit reads it, and every pin writes current_mu_.
+  alignas(64) std::atomic<uint64_t> generation_{0};
 
   /// Monotonic Answer() counters (see answer_stats()).
-  std::atomic<uint64_t> answered_{0};
+  alignas(64) std::atomic<uint64_t> answered_{0};
   std::atomic<uint64_t> approx_served_{0};
   std::atomic<uint64_t> fallbacks_{0};
   mutable std::atomic<uint64_t> retries_{0};

@@ -30,20 +30,15 @@ util::Result<TrainReport> AsqpTrainer::Train(
   util::Stopwatch watch;
   ASQP_ASSIGN_OR_RETURN(PreprocessResult preprocess,
                         Preprocess(db, workload, config_));
-
-  // The model owns the action space; train against it in place.
-  auto model = std::make_unique<AsqpModel>(&db, config_, std::move(preprocess),
-                                           rl::Policy{});
   rl::TrainerConfig trainer_config = config_.trainer;
   trainer_config.seed ^= config_.seed;
   ASQP_ASSIGN_OR_RETURN(
       rl::TrainResult trained,
-      rl::Train(MakeEnvFactory(&model->preprocess_.space, config_),
-                trainer_config));
+      rl::Train(MakeEnvFactory(&preprocess.space, config_), trainer_config));
 
-  model->policy_ = std::move(trained.policy);
+  auto model = std::make_unique<AsqpModel>(&db, config_, std::move(preprocess),
+                                           std::move(trained.policy));
   model->MaterializeSet();
-  model->CalibrateEstimator();
 
   TrainReport report;
   report.iteration_scores = std::move(trained.iteration_scores);

@@ -128,14 +128,11 @@ ServeEngine::FrontHalf ServeEngine::FrontSql(const std::string& sql,
 }
 
 std::optional<core::AnswerResult> ServeEngine::MemoHit(const std::string& sql) {
-  // The probe needs no model lock: a memoized fingerprint depends only on
-  // the text and the database schema, which no FineTune changes. The
-  // lookup reads the generation, so it runs in a reader scope; an entry
-  // evicted or left in an older generation is a miss, and the caller
-  // takes the full front half.
+  // A memoized fingerprint depends only on the text and the database
+  // schema, which no FineTune changes. An entry evicted or left in an
+  // older generation is a miss, and the caller takes the full front half.
   sql::QueryFingerprint fingerprint;
   if (!memo_.Lookup(sql, &fingerprint)) return std::nullopt;
-  std::shared_lock<std::shared_mutex> reader(model_mu_);
   std::shared_ptr<const core::AnswerResult> hit =
       cache_.Lookup(fingerprint, model_->generation());
   if (hit == nullptr) return std::nullopt;
@@ -146,13 +143,6 @@ std::optional<core::AnswerResult> ServeEngine::MemoHit(const std::string& sql) {
 ServeEngine::FrontHalf ServeEngine::Probe(sql::SelectStatement&& stmt,
                                           const util::ExecContext& context,
                                           const std::string* memo_text) {
-  // Reader scope: binding and the cache probe read the model (database
-  // schema, generation), so they must see a stable model — a concurrent
-  // FineTune may otherwise swap the policy or bump the generation
-  // mid-fingerprint. Released before admission: tickets queue in the
-  // scheduler, not under the model lock, or FineTune's writer
-  // acquisition would deadlock against a full queue.
-  std::shared_lock<std::shared_mutex> reader(model_mu_);
   // Bind in place: the statement becomes the bound query's own, so a
   // served query is never copied. Fingerprint the *bound* statement so
   // table aliases normalize away. The ticket carries the bound query, so
@@ -164,12 +154,12 @@ ServeEngine::FrontHalf ServeEngine::Probe(sql::SelectStatement&& stmt,
   // Cache hits bypass admission entirely: they cost a shard lock and a
   // copy that shares the cached rows, not an execution slot.
   if (auto hit = cache_.Lookup(fingerprint, model_->generation())) {
-    // Admitted under the reader lock, so FineTune's clear never races an
-    // admission: every entry was admitted in the current generation.
+    // An admission may land just after FineTune's clear. That is harmless:
+    // a memoized fingerprint never goes wrong, and the old generation's
+    // entry misses by its stamp.
     if (memo_text != nullptr) memo_.Admit(*memo_text, std::move(fingerprint));
     return CacheHit(*hit);
   }
-  reader.unlock();
 
   BatchScheduler::Ticket ticket;
   // Group key: sorted, deduplicated bound table names — queued queries
@@ -251,9 +241,8 @@ AnswerFuture ServeEngine::ServeAsync(FrontHalf&& front) {
 util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
     const sql::BoundQuery& bound) {
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> reader(model_mu_);
   util::Result<core::AnswerResult> shed =
-      ShedOr(*model_, bound, "shed:queue_full",
+      ShedOr(*model_->current(), bound, "shed:queue_full",
              util::Status::ResourceExhausted(
                  "serve: admission queue is full; retry later"));
   if (shed.ok()) served_.fetch_add(1, std::memory_order_relaxed);
@@ -261,10 +250,12 @@ util::Result<core::AnswerResult> ServeEngine::RejectQueueFull(
 }
 
 util::Result<core::AnswerResult> ServeEngine::ShedOr(
-    const core::AsqpModel& model, const sql::BoundQuery& bound,
-    std::string reason, util::Status otherwise) {
+    const core::AsqpModel::Generation& generation,
+    const sql::BoundQuery& bound, std::string reason,
+    util::Status otherwise) {
   if (options_.shed_to_learned) {
-    util::Result<core::AnswerResult> shed = model.TryLearnedAnswer(bound);
+    util::Result<core::AnswerResult> shed =
+        model_->TryLearnedAnswer(generation, bound);
     if (shed.ok()) {
       shed.value().fallback_reason = std::move(reason);
       shed_learned_.fetch_add(1, std::memory_order_relaxed);
@@ -278,11 +269,9 @@ util::Result<core::AnswerResult> ServeEngine::ShedOr(
 }
 
 void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
-  // Reader lock for the whole batch: FineTune's writer waits for at most
-  // one in-flight batch per slot.
-  std::shared_lock<std::shared_mutex> reader(model_mu_);
-  core::AsqpModel& model = *model_;
-  const uint64_t generation = model.generation();
+  // One generation for the whole batch: the re-probe, the sheds, every
+  // member's answer, and the stamp its cache entry carries.
+  const auto generation = model_->current();
 
   // Triage each ticket: expired/cancelled while queued (shed: the budget
   // is gone, there is nothing to retry), answered by the cache since it
@@ -302,7 +291,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
     if (cancelled || ticket.context.deadline().Expired()) {
       admission_expired_.fetch_add(1, std::memory_order_relaxed);
       util::Result<core::AnswerResult> shed =
-          ShedOr(model, ticket.bound,
+          ShedOr(*generation, ticket.bound,
                  cancelled ? "shed:cancelled" : "shed:admission_deadline",
                  util::Status::Degraded(
                      "admission budget exhausted while queued and the "
@@ -311,7 +300,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
       ticket.promise.Resolve(std::move(shed));
       continue;
     }
-    if (auto hit = cache_.Lookup(ticket.fingerprint, generation)) {
+    if (auto hit = cache_.Lookup(ticket.fingerprint, generation->number)) {
       ticket.promise.Resolve(CacheHit(*hit));
       continue;
     }
@@ -336,7 +325,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
     queries.push_back(core::AsqpModel::BatchQuery{&t.bound, t.context});
   }
   std::vector<util::Result<core::AnswerResult>> answers =
-      model.AnswerBatch(queries, shared_scan_saved_);
+      model_->AnswerBatch(*generation, queries, shared_scan_saved_);
 
   // Convert each representative's outcome. A member that failed degrades
   // alone; its peers' results are already computed and resolve normally.
@@ -348,7 +337,8 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
       // Degraded (fell-back) answers are not cached: a retry without
       // pressure may serve the better approximation-set answer.
       if (!outcome.value().fell_back) {
-        cache_.Insert(ticket.fingerprint, generation, outcome.value());
+        cache_.Insert(ticket.fingerprint, generation->number,
+                      outcome.value());
       }
     } else {
       const util::Status failure = outcome.status();
@@ -358,7 +348,7 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
         // failures itself, but one racing the ladder's tier boundaries
         // can still leak — convert it here so a client never sees a raw
         // timeout.
-        outcome = ShedOr(model, ticket.bound,
+        outcome = ShedOr(*generation, ticket.bound,
                          "shed:" + core::FallbackReasonFromStatus(failure),
                          util::Status::Degraded(
                              "no tier could answer within the budget: " +
@@ -380,10 +370,10 @@ void ServeEngine::ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets) {
 }
 
 util::Status ServeEngine::FineTune(const metric::Workload& new_queries) {
-  std::unique_lock<std::shared_mutex> writer(model_mu_);
   ASQP_RETURN_NOT_OK(model_->FineTune(new_queries));
-  // Lazy per-lookup invalidation already guarantees correctness; the
-  // eager sweep frees the stale entries' bytes immediately.
+  // Lazy per-lookup invalidation already guarantees correctness (what a
+  // batch still on the old generation inserts later misses by its stamp);
+  // the eager sweep frees the stale entries' bytes now.
   cache_.InvalidateOlderThan(model_->generation());
   // Memoized fingerprints stay valid across generations, but clearing
   // bounds the memo to texts served since the last fine-tune.

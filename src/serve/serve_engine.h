@@ -6,18 +6,18 @@
 //      text then probes the exact-text memo (TextMemo): a text memoized
 //      earlier goes straight to the answer cache with the fingerprint its
 //      own front end produced, skipping parse, bind and canonicalization.
-//      Otherwise, under the reader lock, the statement is bound in place
-//      (sql::Bind by move), fingerprinted (sql::QueryFingerprint of the
-//      bound AST) and probed in a sharded answer cache: a repeat query,
-//      in any equivalent spelling, returns the cached AnswerResult
-//      without admission, and a text whose probe hit enters the memo. A
-//      miss becomes a BatchScheduler ticket carrying the bound query —
-//      the one statement the query has from then on — and its table-set
-//      key. SQL text is parsed at most once and its statement never
-//      copied; Answer(stmt) copies the caller's statement once. Cache
-//      entries are stamped with the model's approximation-set generation;
-//      FineTune() bumps it, invalidating every stale entry, and clears
-//      the memo. A cache entry, every hit on it, a batch duplicate's
+//      Otherwise the statement is bound in place (sql::Bind by move),
+//      fingerprinted (sql::QueryFingerprint of the bound AST) and probed
+//      in a sharded answer cache: a repeat query, in any equivalent
+//      spelling, returns the cached AnswerResult without admission, and a
+//      text whose probe hit enters the memo. A miss becomes a
+//      BatchScheduler ticket carrying the bound query — the one statement
+//      the query has from then on — and its table-set key. SQL text is
+//      parsed at most once and its statement never copied; Answer(stmt)
+//      copies the caller's statement once. Cache entries are stamped with
+//      the number of the generation that answered them, and a probe reads
+//      only AsqpModel::generation(): a hit takes no model lock and pins no
+//      generation. A cache entry, every hit on it, a batch duplicate's
 //      answer and a future's Get() all share one immutable row block
 //      (exec::ResultSet), so no answer's rows are copied after they are
 //      built.
@@ -30,11 +30,12 @@
 //      batch_max_queries - 1 queued tickets over the same table set
 //      execute as one batch sharing a single scan pass per table
 //      (AsqpModel::AnswerBatch), byte-identical to solo execution.
-//   3. The tail, ExecuteBatch, whichever thread runs it: expiry while
-//      queued, a cache hit since submission, canonical dedup, then
-//      execution, where each member is a solo query whose scans were done
-//      for it (AsqpModel::AnswerBatch runs the solo ladder per member),
-//      and the conversion of every outcome once the batch has run. Under
+//   3. The tail, ExecuteBatch, whichever thread runs it, on one pinned
+//      model generation (AsqpModel::current()): expiry while queued, a
+//      cache hit since submission, canonical dedup, then execution, where
+//      each member is a solo query whose scans were done for it
+//      (AsqpModel::AnswerBatch runs the solo ladder per member), and the
+//      conversion of every outcome once the batch has run. Under
 //      overload a client gets an answer (possibly load-shed to the model's
 //      learned fallback, with an error estimate) or a typed degradation —
 //      kDegraded, or kResourceExhausted when the queue is full — never a
@@ -44,16 +45,16 @@
 // execution threads never exceed its cap (util::ThreadPool::
 // LiveWorkerCount()).
 //
-// Answer() calls may run from any number of threads. FineTune() takes the
-// engine's writer lock, so in-flight queries drain before the model is
-// retrained and new arrivals wait until the swap completes.
+// Answer() calls may run from any number of threads, also while FineTune()
+// retrains: the model publishes the next generation whole. A batch that
+// pinned the old one finishes on it, under the old stamp; a request sent
+// after FineTune() returns is answered from the new one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -64,7 +65,6 @@
 #include "serve/answer_future.h"
 #include "serve/batch_scheduler.h"
 #include "serve/text_memo.h"
-#include "util/annotations.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -145,10 +145,9 @@ class ServeEngine {
       const std::string& sql,
       const util::ExecContext& context = util::ExecContext());
 
-  /// Retrain on drifted/new queries (AsqpModel::FineTune) under the
-  /// writer lock: waits for in-flight queries to drain, swaps the model
-  /// state, invalidates every cached answer from older generations and
-  /// clears the text memo.
+  /// Retrain on drifted/new queries (AsqpModel::FineTune) while queries
+  /// keep being answered from the current generation, then drop every
+  /// cached answer of older generations and clear the text memo.
   [[nodiscard]] util::Status FineTune(const metric::Workload& new_queries);
 
   struct Stats {
@@ -173,9 +172,6 @@ class ServeEngine {
   const TextMemo& memo() const { return memo_; }
   AnswerCache& mutable_cache() { return cache_; }
   const ServeOptions& options() const { return options_; }
-  /// Unsynchronized escape hatch for setup/instrumentation in tests and
-  /// benches; do not use while Answer/FineTune are in flight.
-  core::AsqpModel* model() { return model_; }  // NOLINT(asqp-guard-violation)
   /// The shared execution pool (for instrumentation/tests).
   util::ThreadPool* pool() { return pool_.get(); }
 
@@ -210,9 +206,8 @@ class ServeEngine {
   /// does not hold the text or its cache entry is gone.
   std::optional<core::AnswerResult> MemoHit(const std::string& sql);
 
-  /// Under the reader lock: bind `stmt` in place, fingerprint, cache
-  /// probe, and the table-set key of a miss's ticket. A hit memoizes
-  /// `memo_text` when it is not null.
+  /// Bind `stmt` in place, fingerprint, cache probe, and the table-set key
+  /// of a miss's ticket. A hit memoizes `memo_text` when it is not null.
   FrontHalf Probe(sql::SelectStatement&& stmt,
                   const util::ExecContext& context,
                   const std::string* memo_text);
@@ -227,24 +222,21 @@ class ServeEngine {
   util::Result<core::AnswerResult> RejectQueueFull(
       const sql::BoundQuery& bound);
 
-  /// The shed conversion: `bound` answered by `model`'s learned fallback,
-  /// labelled `reason` ("shed:<cause>"), when shedding is on and the
-  /// learned tier can take the query; `otherwise` when not. The caller
-  /// holds the reader lock that guards `model`.
-  util::Result<core::AnswerResult> ShedOr(const core::AsqpModel& model,
-                                          const sql::BoundQuery& bound,
-                                          std::string reason,
-                                          util::Status otherwise);
+  /// The shed conversion: `bound` answered by `generation`'s learned
+  /// fallback, labelled `reason` ("shed:<cause>"), when shedding is on and
+  /// the learned tier can take the query; `otherwise` when not.
+  util::Result<core::AnswerResult> ShedOr(
+      const core::AsqpModel::Generation& generation,
+      const sql::BoundQuery& bound, std::string reason,
+      util::Status otherwise);
 
-  /// Execute one batch — on an executor thread, or inline on the caller's
-  /// for a solo ticket: per-ticket expiry / cache re-probe / canonical
-  /// dedup, then AsqpModel::AnswerBatch for the representatives, then
-  /// resolve every ticket's promise with its converted outcome.
+  /// Execute one batch on one pinned generation — on an executor thread, or
+  /// inline on the caller's for a solo ticket: per-ticket expiry / cache
+  /// re-probe / canonical dedup, AsqpModel::AnswerBatch for the
+  /// representatives, then every ticket's promise resolved.
   void ExecuteBatch(std::vector<BatchScheduler::Ticket>&& tickets);
 
-  /// Readers (shared_lock): queries bind, fingerprint, and execute
-  /// against a stable model. Writer (unique_lock): FineTune().
-  core::AsqpModel* model_ ASQP_GUARDED_BY(model_mu_);
+  core::AsqpModel* const model_;
   ServeOptions options_;
   std::shared_ptr<util::ThreadPool> pool_;
   AnswerCache cache_;
@@ -252,9 +244,9 @@ class ServeEngine {
   /// cache (internally synchronized; cleared by FineTune).
   TextMemo memo_;
 
-  // Every request writes the members from here on (the counters and the
-  // lock's reader count); starting them on a fresh cache line keeps those
-  // writes off the members above, which every cache hit reads.
+  // Every request writes the members from here on (the counters);
+  // starting them on a fresh cache line keeps those writes off the members
+  // above, which every cache hit reads.
   alignas(64) std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> memo_hits_{0};
@@ -265,7 +257,6 @@ class ServeEngine {
   std::atomic<uint64_t> degraded_{0};
   std::atomic<uint64_t> expired_fast_path_{0};
   std::atomic<uint64_t> shared_scan_saved_{0};
-  std::shared_mutex model_mu_;
 
   /// The admission gate. Declared last so its destructor runs first:
   /// queued tickets drain against a still-live engine.

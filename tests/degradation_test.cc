@@ -414,7 +414,7 @@ class DegradationLadderTest : public ::testing::Test {
     auto report = trainer.Train(*bundle_->db, bundle_->workload);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     model_ = std::move(report.value().model);
-    ASSERT_NE(model_->learned_fallback(), nullptr);
+    ASSERT_NE(model_->current()->learned, nullptr);
   }
   static void TearDownTestSuite() {
     model_.reset();
@@ -556,8 +556,10 @@ TEST_F(DegradationLadderTest, TryLearnedAnswerHonorsTheSupportedClass) {
                        sql::Bind(Parse(kAggregateSql), *model_->database()));
   ASSERT_OK_AND_ASSIGN(sql::BoundQuery join_query,
                        sql::Bind(Parse(kJoinSql), *model_->database()));
+  const std::shared_ptr<const core::AsqpModel::Generation> generation =
+      model_->current();
   ASSERT_OK_AND_ASSIGN(core::AnswerResult shed,
-                       model_->TryLearnedAnswer(aggregate));
+                       model_->TryLearnedAnswer(*generation, aggregate));
   EXPECT_EQ(shed.tier, core::AnswerTier::kLearned);
   EXPECT_TRUE(shed.fell_back);
   EXPECT_GT(shed.error_estimate, 0.0);
@@ -565,7 +567,7 @@ TEST_F(DegradationLadderTest, TryLearnedAnswerHonorsTheSupportedClass) {
   EXPECT_TRUE(shed.fallback_reason.empty());
 
   util::Result<core::AnswerResult> join =
-      model_->TryLearnedAnswer(join_query);
+      model_->TryLearnedAnswer(*generation, join_query);
   ASSERT_FALSE(join.ok());
   EXPECT_EQ(join.status().code(), util::StatusCode::kInvalidArgument);
 }

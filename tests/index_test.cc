@@ -397,9 +397,12 @@ TEST(IndexLifecycle, FineTuneRebuildsCatalogAtNewGeneration) {
 
   const std::shared_ptr<const IndexCatalog> after = model.index_catalog();
   ASSERT_NE(after, nullptr);
-  // The old catalog is invalid for the new set: FineTune swapped in a
-  // fresh build stamped with the bumped generation.
+  // The old catalog is invalid for the new set: FineTune published a new
+  // set with a fresh build stamped with the bumped generation, and the old
+  // catalog no longer covers it.
   EXPECT_NE(after, before);
+  EXPECT_FALSE(before->CoversView(
+      DatabaseView(bundle.db.get(), &model.approximation_set())));
   EXPECT_EQ(model.generation(), gen_before + 1);
   EXPECT_EQ(after->generation(), model.generation());
   EXPECT_TRUE(after->CoversView(

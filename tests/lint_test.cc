@@ -837,28 +837,34 @@ TEST(LintLoadBearingTest, AnswerCacheAnnotationsAreEachLoadBearing) {
   EXPECT_GE(stripped_count, 9u) << "Shard annotations went missing";
 }
 
-TEST(LintLoadBearingTest, ServeEngineModelAnnotationIsLoadBearing) {
-  const std::string header = ReadRepoFile("src/serve/serve_engine.h");
-  const std::string kAnnotation = "ASQP_GUARDED_BY(model_mu_)";
-  ASSERT_NE(header.find(kAnnotation), std::string::npos);
+TEST(LintLoadBearingTest, ModelWriterAnnotationsAreLoadBearing) {
+  const std::string header = ReadRepoFile("src/core/model.h");
+  const std::string kAnnotation = "ASQP_EXCLUDES(writer_mu_)";
 
   AnalysisIndex intact;
-  BuildIndex("src/serve/serve_engine.h", header, &intact);
+  BuildIndex("src/core/model.h", header, &intact);
   std::vector<Diagnostic> diags;
   CheckMutexCoverage(intact, &diags);
   EXPECT_TRUE(diags.empty());
 
-  // model_ carries the only model_mu_ annotation: stripping it leaves the
-  // engine's reader-writer mutex with no declared protocol at all.
+  // The writers (MaterializeSet, FineTune, SetExecutionPool) carry the
+  // only writer_mu_ annotations: stripping them leaves the mutex that
+  // serializes them with no declared protocol at all.
   std::string stripped = header;
-  stripped.erase(stripped.find(kAnnotation), kAnnotation.size());
+  size_t stripped_count = 0;
+  for (size_t pos = stripped.find(kAnnotation); pos != std::string::npos;
+       pos = stripped.find(kAnnotation, pos)) {
+    stripped.erase(pos, kAnnotation.size());
+    ++stripped_count;
+  }
+  EXPECT_EQ(stripped_count, 3u) << "writer annotations went missing";
   AnalysisIndex without;
-  BuildIndex("src/serve/serve_engine.h", stripped, &without);
+  BuildIndex("src/core/model.h", stripped, &without);
   diags.clear();
   CheckMutexCoverage(without, &diags);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule, "asqp-missing-guard");
-  EXPECT_NE(diags[0].message.find("'model_mu_'"), std::string::npos);
+  EXPECT_NE(diags[0].message.find("'writer_mu_'"), std::string::npos);
 }
 
 TEST(LintLoadBearingTest, DeletingARegistryEntryFailsTheUsingFile) {

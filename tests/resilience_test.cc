@@ -571,7 +571,7 @@ class ServeFaultPointTest : public ::testing::TestWithParam<ServeFaultCase> {
     auto report = trainer.Train(*bundle_->db, bundle_->workload);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     model_ = std::move(report.value().model);
-    ASSERT_NE(model_->learned_fallback(), nullptr);
+    ASSERT_NE(model_->current()->learned, nullptr);
   }
   static void TearDownTestSuite() {
     model_.reset();

@@ -3,15 +3,18 @@
 // equivalent spellings, out-of-distribution drift recorders) while a
 // monitor asserts the process-wide execution-thread cap is never
 // exceeded, more synchronous sessions than slots split between inline
-// and executor-thread runs, and a FineTune races in-flight Answers
-// through the engine's writer lock, memoized texts and one hot answer's
-// shared rows under eviction included. Iteration counts scale down under
+// and executor-thread runs, and a FineTune races in-flight Answers,
+// memoized texts and one hot answer's shared rows under eviction included,
+// while readers keep answering from the published generation. Iteration
+// counts scale down under
 // TSan (ASQP_SANITIZE_THREAD) to keep the suite fast despite the
 // sanitizer's slowdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -325,8 +328,8 @@ TEST_F(ServeStressTest, FineTuneRacesInFlightAnswers) {
   }
 
   // Let the sessions reach a steady state, then retrain underneath them:
-  // FineTune's writer lock drains in-flight Answers, swaps the model, and
-  // flushes the cache while the sessions keep arriving.
+  // FineTune publishes the next generation and flushes the cache while
+  // the sessions keep arriving.
   while (answered.load(std::memory_order_relaxed) < kSessions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -553,6 +556,134 @@ TEST_F(ServeStressTest, SharedRowsOfOneHotAnswerUnderEvictionAndFineTune) {
   EXPECT_GT(cache_hits, 0u);
   EXPECT_GT(cache_stats.evictions, 0u);
   ExpectOneGenerationEach(seen, before, after);
+}
+
+TEST_F(ServeStressTest, ReadersKeepAnsweringDuringFineTune) {
+  // Readers send the hot texts while FineTune runs. None waits out the
+  // fine-tune: a request sent while it runs returns in a small fraction
+  // of its length, with the old generation's answer while that is still
+  // published, and every request sent after FineTune returns gets the new
+  // generation's.
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kReaders = 4;
+  std::vector<std::string> sqls;
+  for (const auto& spellings : QueryMix()) sqls.push_back(spellings[0]);
+  const std::vector<uint64_t> before = UncachedDigests(model_.get(), sqls);
+  const uint64_t old_generation = model_->generation();
+
+  enum class Phase { kBefore, kDuring, kAfter };
+  struct Request {
+    size_t query = 0;
+    Phase phase = Phase::kBefore;
+    Clock::duration latency{};
+    /// The old generation's number was still published on return.
+    bool old_published = false;
+    uint64_t digest = 0;
+  };
+  std::vector<std::vector<Request>> seen(kReaders);
+  Clock::duration tune_time{};
+  {
+    ServeOptions options;
+    options.max_inflight = 4;
+    options.queue_capacity = 2 * kSessions;
+    options.pool_threads = 2;
+    options.cache_bytes = 8 << 20;
+    ServeEngine engine(model_.get(), options);
+    for (const std::string& sql : sqls) {
+      ASSERT_OK(engine.AnswerSql(sql).status());
+    }
+    ASSERT_OK_AND_ASSIGN(
+        metric::Workload drift,
+        metric::Workload::FromSql(
+            {"SELECT p.name FROM person p WHERE p.birth_year > 1985",
+             "SELECT p.name, p.birth_year FROM person p "
+             "WHERE p.birth_year < 1950"}));
+
+    std::atomic<bool> started{false};
+    std::atomic<bool> tuned{false};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> answered{0};
+    std::atomic<uint64_t> answered_after{0};
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        for (size_t iter = 0; !stop.load(std::memory_order_relaxed); ++iter) {
+          Request one;
+          one.query = (r + iter) % sqls.size();
+          one.phase = tuned.load(std::memory_order_acquire) ? Phase::kAfter
+                      : started.load(std::memory_order_acquire)
+                          ? Phase::kDuring
+                          : Phase::kBefore;
+          const Clock::time_point sent = Clock::now();
+          auto result = engine.AnswerSql(sqls[one.query]);
+          one.latency = Clock::now() - sent;
+          one.old_published = model_->generation() == old_generation;
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+          if (!result.ok()) continue;
+          one.digest = RowsDigest(result.value().result);
+          seen[r].push_back(one);
+          answered.fetch_add(1, std::memory_order_relaxed);
+          if (one.phase == Phase::kAfter) {
+            answered_after.fetch_add(1, std::memory_order_relaxed);
+          }
+          // Readers are what this measures, not load: leave the cores to
+          // the fine-tune.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      });
+    }
+    while (answered.load(std::memory_order_relaxed) < 4 * kReaders) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    started.store(true, std::memory_order_release);
+    const Clock::time_point tune_start = Clock::now();
+    EXPECT_OK(engine.FineTune(drift));
+    tune_time = Clock::now() - tune_start;
+    tuned.store(true, std::memory_order_release);
+    while (answered_after.load(std::memory_order_relaxed) < 4 * kReaders) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : readers) t.join();
+  }
+  const std::vector<uint64_t> after = UncachedDigests(model_.get(), sqls);
+  ASSERT_GT(model_->generation(), old_generation);
+
+  size_t during = 0;
+  size_t during_old = 0;
+  Clock::duration worst{};
+  for (const std::vector<Request>& session : seen) {
+    for (const Request& one : session) {
+      const uint64_t old_digest = before[one.query];
+      const uint64_t new_digest = after[one.query];
+      if (one.phase == Phase::kAfter) {
+        EXPECT_EQ(one.digest, new_digest) << "query " << one.query
+                                          << " sent after FineTune returned";
+        continue;
+      }
+      if (one.old_published) {
+        EXPECT_EQ(one.digest, old_digest)
+            << "query " << one.query << " answered before the publish";
+      } else {
+        EXPECT_TRUE(one.digest == old_digest || one.digest == new_digest)
+            << "query " << one.query << " matches neither generation";
+      }
+      if (one.phase == Phase::kDuring) {
+        ++during;
+        if (one.old_published) ++during_old;
+        worst = std::max(worst, one.latency);
+      }
+    }
+  }
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  std::printf("FineTune ran %.1f ms; %zu requests sent meanwhile (%zu "
+              "answered from the old generation), worst latency %.3f ms\n",
+              ms(tune_time), during, during_old, ms(worst));
+  EXPECT_GT(during_old, 0u);
+  EXPECT_LT(ms(worst), ms(tune_time) / 10)
+      << "a reader waited out the fine-tune";
 }
 
 TEST_F(ServeStressTest, ChaosOverloadNeverLeaksRawTimeoutsToClients) {

@@ -1221,7 +1221,7 @@ TEST_F(ServeEngineTest, AdmissionAsyncNeverRunsOnTheCaller) {
 }
 
 TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
-  ASSERT_NE(model_->learned_fallback(), nullptr);
+  ASSERT_NE(model_->current()->learned, nullptr);
   ServeOptions options = HeldServe();
   options.queue_capacity = 2;
   std::vector<AnswerFuture> queued;
@@ -1261,7 +1261,7 @@ TEST_F(ServeEngineTest, AdmissionFullQueueRejectsTypedOrShedsToLearned) {
 }
 
 TEST_F(ServeEngineTest, AdmissionExpiryWhileQueuedShedsOrDegrades) {
-  ASSERT_NE(model_->learned_fallback(), nullptr);
+  ASSERT_NE(model_->current()->learned, nullptr);
   ServeEngine engine(model_.get(), HeldServe());
   testing::SlotHold hold(&engine);
   const ServeEngine::Stats before = engine.stats();
